@@ -7,6 +7,11 @@
 # entry point directly; a reference from a builder header means an engine
 # is being re-inlined per builder, the exact drift this refactor removed.
 #
+# The same lint holds the engines to the one recovery ladder (DESIGN.md §5):
+# an engine source detects a failure and hands it to recover(); calling the
+# restart rung or the poison rung itself (or their predecessors) would fork
+# the rung decision again.
+#
 # Exit 0 when clean, 1 with a file:line listing per violation.
 set -euo pipefail
 
@@ -58,7 +63,45 @@ for f in "${builders[@]}"; do
   done
 done
 
+src="$repo/src/cudastf"
+engines=(
+  "$src/fault.cpp"
+  "$src/checkpoint.cpp"
+  "$src/integrity.cpp"
+  "$src/deadline.cpp"
+  "$src/context.cpp"
+  "$inc/context.hpp"
+)
+
+# Restart rung (checkpoint_manager::try_restart), poison rung (recording a
+# failure, poisoning data) and the per-engine ladders they replaced. Only
+# recover() in submit.cpp may call them; the definitions themselves
+# (context_state::record_failure, checkpoint_manager::try_restart) and
+# clearing poison (poisoned_by = 0) are allowed.
+ladder_bypass=(
+  'try_epoch_restart'
+  'fail_task'
+  '(->|\.)try_restart\('
+  '(^|[^:])record_failure\('
+  'poisoned_by[[:space:]]*=[[:space:]]*[^=0[:space:]]'
+)
+
+for f in "${engines[@]}"; do
+  if [[ ! -f "$f" ]]; then
+    echo "check_builder_drift: missing engine source: $f" >&2
+    status=1
+    continue
+  fi
+  for pat in "${ladder_bypass[@]}"; do
+    if hits="$(grep -EnH "$pat" "$f")"; then
+      echo "check_builder_drift: '$pat' bypasses the recovery ladder (build a detail::failure and call recover()):" >&2
+      echo "$hits" >&2
+      status=1
+    fi
+  done
+done
+
 if [[ "$status" == 0 ]]; then
-  echo "check_builder_drift: builder headers are clean"
+  echo "check_builder_drift: builder headers and engine sources are clean"
 fi
 exit "$status"

@@ -16,7 +16,9 @@
 # --bench-smoke additionally runs every --json benchmark once and diffs the
 # set of JSON record keys against the checked-in BENCH_*.json baselines —
 # a renamed or dropped counter fails fast, without pinning the (noisy)
-# values themselves.
+# values themselves. bench_chaos reports simulated values only, so its
+# output must match BENCH_chaos.json byte for byte: any change to what
+# the recovery ladder does under its fault sweeps fails the run.
 #
 # --chaos additionally runs a seeded fault-injection soak: the checkpoint,
 # fault-injection and integrity (silent-corruption) suites loop over
@@ -79,14 +81,21 @@ if [[ "$bench_smoke" == 1 ]]; then
     out="$smoke_dir/$bench.json"
     echo "bench-smoke: $bench"
     "$build/bench/$bench" --json > "$out"
-    if ! diff <(json_keys "$baseline") <(json_keys "$out") > "$smoke_dir/$bench.diff"; then
+    if [[ "$bench" == bench_chaos ]]; then
+      if ! diff "$baseline" "$out" > "$smoke_dir/$bench.diff"; then
+        echo "bench-smoke: $bench output differs from ${pair##*:}:" >&2
+        cat "$smoke_dir/$bench.diff" >&2
+        status=1
+      fi
+    elif ! diff <(json_keys "$baseline") <(json_keys "$out") > "$smoke_dir/$bench.diff"; then
       echo "bench-smoke: $bench JSON keys drifted from ${pair##*:}:" >&2
       cat "$smoke_dir/$bench.diff" >&2
       status=1
     fi
   done
   [[ "$status" == 0 ]] || exit "$status"
-  echo "bench-smoke: all benchmark JSON schemas match their baselines"
+  echo "bench-smoke: all benchmark JSON schemas match their baselines" \
+       "(bench_chaos byte for byte)"
 
   # Task-overhead guard (Table I): the submission pipeline must not slow
   # the per-task cost. Compare the aggregate mean_us_per_task of this run
@@ -148,7 +157,7 @@ if [[ "$sanitize" == 1 ]]; then
   cmake --build "$asan_build" -j "$jobs" \
     --target test_fault_injection test_eviction test_checkpoint \
              test_mem_engine test_integrity test_deadline \
-             test_submit_pipeline
+             test_submit_pipeline test_recovery_ladder
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_fault_injection"
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
@@ -168,6 +177,10 @@ if [[ "$sanitize" == 1 ]]; then
   # emission after rollback is where a dangling dep record would hide.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_submit_pipeline"
+  # Every rung of the recovery ladder, each failure source with and
+  # without checkpointing (DESIGN.md §5).
+  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+    "$asan_build/tests/test_recovery_ladder"
 fi
 
 if [[ "$tsan" == 1 ]]; then

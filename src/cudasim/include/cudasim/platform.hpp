@@ -125,9 +125,19 @@ class platform {
   // --- asynchronous operations (stream-ordered) ---
 
   /// Launches a simulated kernel; `body` runs when the kernel completes in
-  /// virtual time (it may be empty for timing-only runs).
+  /// virtual time (it may be empty for timing-only runs). With kernel
+  /// payloads off the body is dropped.
   void launch_kernel(stream& s, const kernel_desc& k, std::function<void()> body,
                      bool graph_launched = false);
+
+  /// Wraps `body` for launch_kernel, or returns an empty body while kernel
+  /// payloads are off, so timing-only submissions never build the bodies
+  /// launch_kernel would drop.
+  template <class Body>
+  std::function<void()> kernel_body(Body&& body) const {
+    return kernel_payloads_ ? std::function<void()>(std::forward<Body>(body))
+                            : std::function<void()>();
+  }
 
   void memcpy_async(void* dst, const void* src, std::size_t n, memcpy_kind kind,
                     stream& s);
@@ -164,6 +174,12 @@ class platform {
   /// scale avoid faulting tens of GB of backing memory). Default: enabled.
   void set_copy_payloads(bool on) { copy_payloads_ = on; }
   bool copy_payloads() const { return copy_payloads_; }
+
+  /// When disabled, launch_kernel drops kernel bodies: virtual time is
+  /// charged as usual but no host-side numerics run, whichever construct
+  /// submitted the kernel. Default: enabled.
+  void set_kernel_payloads(bool on) { kernel_payloads_ = on; }
+  bool kernel_payloads() const { return kernel_payloads_; }
 
   std::uint64_t ops_completed() const { return tl_.completed_count(); }
 
@@ -342,6 +358,7 @@ class platform {
   /// the submission fast path — never touches the driver lock.
   std::atomic<int> current_{0};
   bool copy_payloads_ = true;
+  bool kernel_payloads_ = true;
   double host_memcpy_bw_ = 50.0e9;
   std::unordered_set<stream*> streams_;
   std::array<event_shard, event_shard_count> event_shards_;

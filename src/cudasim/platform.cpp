@@ -109,6 +109,9 @@ void set_capture_tail(stream& s, graph_node n) {
 
 void platform::launch_kernel(stream& s, const kernel_desc& k,
                              std::function<void()> body, bool graph_launched) {
+  if (!kernel_payloads_) {
+    body = nullptr;
+  }
   std::lock_guard lock(mu_);
   if (faults_armed_) {
     const sim_status injected =

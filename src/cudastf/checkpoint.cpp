@@ -3,8 +3,8 @@
 // Pipeline hook point (DESIGN.md §13): replay recording attaches to the
 // admission stage — submit_pipeline::stage_admission appends the requeue
 // closure to the log before anything is acquired or mutated, so a replay
-// re-enters the builder verbatim; escalation (try_epoch_restart) is
-// reached from the pipeline's failure ladder.
+// re-enters the builder verbatim; try_restart is the restart rung of
+// recover() (DESIGN.md §5).
 //
 // Commit protocol: snapshots are issued asynchronously into per-entry spare
 // buffers between two backend fences (the epoch barriers — on the graph
@@ -28,6 +28,7 @@
 // this engine always runs with the submission gate held exclusively.
 // Deterministic-order parallel_submit preserves the single-thread epoch
 // numbering, which is what makes replay-after-restart bit-identical.
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -215,15 +216,14 @@ bool checkpoint_manager::take_checkpoint() {
                                        "checkpoint_commit") &&
           !st_->integ->handle_corruption(*st_, *d, *p.src,
                                          "checkpoint_commit")) {
-        task_dep_untyped dep;
-        dep.data = d;
-        dep.mode = access_mode::rw;
-        const task_dep_untyped* dp = &dep;
-        detail::fail_task_or_restart(
-            *st_, &dp, 1, "checkpoint", failure_kind::data_corrupted, -1, 1,
-            "snapshot of '" + d->name() +
-                "' failed verification at checkpoint_commit (write_version " +
-                std::to_string(p.version) + ") with no valid replica");
+        detail::failure f;
+        f.kind = failure_kind::data_corrupted;
+        f.symbol = "checkpoint";
+        f.detail = "snapshot of '" + d->name() +
+                   "' failed verification at checkpoint_commit (write_version " +
+                   std::to_string(p.version) + ") with no valid replica";
+        f.written = {d};
+        detail::recover(*st_, std::move(f));
       }
       return false;
     }
@@ -274,7 +274,8 @@ void checkpoint_manager::note_cancellation() {
   }
 }
 
-void checkpoint_manager::restore_entry(entry& e, logical_data_impl& d) {
+void checkpoint_manager::restore_entry(entry& e, const data_impl_ptr& dp) {
+  logical_data_impl& d = *dp;
   for (const auto& inst : d.instances()) {
     inst->readers.clear();
     inst->writer.clear();
@@ -300,15 +301,12 @@ void checkpoint_manager::restore_entry(entry& e, logical_data_impl& d) {
     // cancelled — they may embed the cancellation (a step that never
     // executed). There is no trustworthy state to roll back to: report
     // the loss and poison instead of replaying corruption as truth.
-    d.poisoned_by = st_->record_failure(
-        failure_kind::data_lost, d.name(), -1, 1,
-        "committed snapshot of '" + d.name() +
-            "' was in flight across a hang cancellation; no trustworthy "
-            "rollback state exists");
-    if (!st_->report.failures.empty() &&
-        st_->report.failures.back().id == d.poisoned_by) {
-      st_->report.failures.back().poisoned.push_back(d.name());
-    }
+    detail::recover(
+        *st_, detail::lost_data(
+                  failure_kind::data_lost, dp, -1,
+                  "committed snapshot of '" + d.name() +
+                      "' was in flight across a hang cancellation; no "
+                      "trustworthy rollback state exists"));
     return;  // every instance stays invalid
   }
   if (e.has_committed) {
@@ -321,14 +319,12 @@ void checkpoint_manager::restore_entry(entry& e, logical_data_impl& d) {
       if (integrity_checksum(e.committed.get(), d.bytes()) !=
           e.committed_sum) {
         ++bs.checksum_mismatches;
-        d.poisoned_by = st_->record_failure(
-            failure_kind::data_corrupted, d.name(), -1, 1,
-            "committed snapshot failed verification at checkpoint_restore "
-            "(write_version " + std::to_string(d.write_version) + ")");
-        if (!st_->report.failures.empty() &&
-            st_->report.failures.back().id == d.poisoned_by) {
-          st_->report.failures.back().poisoned.push_back(d.name());
-        }
+        detail::recover(
+            *st_, detail::lost_data(
+                      failure_kind::data_corrupted, dp, -1,
+                      "committed snapshot failed verification at "
+                      "checkpoint_restore (write_version " +
+                          std::to_string(d.write_version) + ")"));
         return;  // every instance stays invalid
       }
       ++bs.checksums_verified;
@@ -362,8 +358,8 @@ void checkpoint_manager::restore_entry(entry& e, logical_data_impl& d) {
   // have thrown on an uninitialized read already).
 }
 
-bool checkpoint_manager::try_restart(const task_dep_untyped* const* deps,
-                                     std::size_t n) {
+bool checkpoint_manager::try_restart(
+    const std::vector<data_impl_ptr>& rollback) {
   if (replaying_ || restarts_ >= opts_.max_restarts) {
     return false;
   }
@@ -394,16 +390,12 @@ bool checkpoint_manager::try_restart(const task_dep_untyped* const* deps,
       // snapshot to roll back to. Leave the data untouched.
       continue;
     }
-    bool touched =
-        d->write_version != e.committed_version || d->poisoned_by != 0;
-    // The failing task's written deps never reached release_dep, so their
+    // The failing op's written data never reached release_dep, so its
     // write_version still matches — but a partial submission may have
-    // scribbled the buffers. Roll them back too.
-    for (std::size_t i = 0; !touched && i < n; ++i) {
-      touched = mode_writes(deps[i]->mode) && deps[i]->data.get() == d.get();
-    }
-    if (touched) {
-      restore_entry(e, *d);
+    // scribbled the buffers. Roll it back too.
+    if (d->write_version != e.committed_version || d->poisoned_by != 0 ||
+        std::find(rollback.begin(), rollback.end(), d) != rollback.end()) {
+      restore_entry(e, d);
     }
   }
   ++bs.rollbacks;
@@ -452,29 +444,5 @@ bool checkpoint_manager::try_restart(const task_dep_untyped* const* deps,
   // checkpoint, and a later restart replays it from the same boundary.
   return true;
 }
-
-namespace detail {
-
-bool try_epoch_restart(context_state& st, const task_dep_untyped* const* deps,
-                       std::size_t n) {
-  if (st.ckpt == nullptr) {
-    return false;
-  }
-  return st.ckpt->try_restart(deps, n);
-}
-
-std::uint64_t fail_task_or_restart(context_state& st,
-                                   const task_dep_untyped* const* deps,
-                                   std::size_t n, std::string_view symbol,
-                                   failure_kind kind, int device, int attempts,
-                                   std::string what) {
-  if (try_epoch_restart(st, deps, n)) {
-    return 0;
-  }
-  return fail_task(st, deps, n, symbol, kind, device, attempts,
-                   std::move(what));
-}
-
-}  // namespace detail
 
 }  // namespace cudastf

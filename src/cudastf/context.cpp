@@ -209,9 +209,10 @@ error_report context::finalize() {
         try {
           pending.merge(write_back_host(*st_, *d));
         } catch (const std::exception& e) {
-          d->poisoned_by = st_->record_failure(
-              failure_kind::data_lost, d->name(), -1, 1,
-              std::string("write-back failed: ") + e.what());
+          detail::recover(*st_, detail::lost_data(
+                                    failure_kind::data_lost, d, -1,
+                                    std::string("write-back failed: ") +
+                                        e.what()));
         }
       }
     }
@@ -221,14 +222,14 @@ error_report context::finalize() {
       st_->backend->fence();
     } catch (const std::exception& e) {
       // The final epoch's launch was refused permanently (graph backend,
-      // DESIGN.md §7). With a committed checkpoint the work is replayed on
-      // the survivors and written back again; otherwise the loss is
+      // DESIGN.md §5/§7). With a committed checkpoint the work is replayed
+      // on the survivors and written back again; otherwise the loss is
       // recorded instead of crashing the epilogue.
-      if (round == 0 && detail::try_epoch_restart(*st_, nullptr, 0)) {
+      detail::failure f = epoch_refused("finalize", e);
+      f.restartable = round == 0;
+      if (detail::recover(*st_, std::move(f)).taken == detail::rung::restart) {
         continue;
       }
-      st_->record_failure(failure_kind::device_lost, "finalize", -1, 1,
-                          std::string("final epoch refused: ") + e.what());
     }
     if (st_->dl != nullptr) [[unlikely]] {
       // The epoch is flushed now (graph backend entries are live in the

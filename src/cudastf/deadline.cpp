@@ -13,10 +13,10 @@
 #include <utility>
 
 #include "cudastf/backend.hpp"
-#include "cudastf/checkpoint.hpp"
 #include "cudastf/context_state.hpp"
 #include "cudastf/data.hpp"
 #include "cudastf/error.hpp"
+#include "cudastf/recover.hpp"
 
 namespace cudastf {
 
@@ -252,67 +252,71 @@ void deadline_monitor::escalate(std::size_t idx) {
       }
     }
   }
-  if (victim != npos && retry_safe(entries_[victim])) {
-    // Rung 1: the expired task's own op was the wedge, its outputs are
-    // unread and its inputs unchanged — resubmit in place. The checkpoint
-    // log is suppressed for the retry: the original submission is already
-    // logged, and a restart must replay exactly one copy.
-    entry e = std::move(entries_[victim]);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
-    ++st_->report.tasks_retried;
-    const bool ckpt = st_->ckpt != nullptr;
-    resubmitting_ = true;
-    if (ckpt) {
-      st_->ckpt->set_suppressed(true);
+  // The hang as the ladder sees it: the expired task's own op when the
+  // wedge was its op, else the expired task whose inputs it fed (its
+  // inputs are suspect), else an untracked wedge during a drain
+  // (write-back or evacuation copy).
+  const std::size_t failed = victim != npos ? victim : idx;
+  detail::failure f;
+  f.kind = failure_kind::deadline_expired;
+  f.rollback_written = false;  // the op was released; versions moved
+  if (failed != npos) {
+    const entry& e = entries_[failed];
+    const double rel =
+        e.deadline_rel > 0.0 ? e.deadline_rel : default_deadline;
+    f.symbol = e.symbol;
+    f.device = e.device;
+    f.detail = "deadline (" + std::to_string(rel) +
+               "s virtual) expired; wedged op cancelled, not recoverable in "
+               "place\n" +
+               stuck;
+    for (const auto& w : e.written) {
+      if (auto d = w.lock()) {
+        f.written.push_back(std::move(d));
+      }
     }
-    try {
-      e.resubmit();
-    } catch (...) {
+  } else {
+    f.symbol = info.name;
+    f.device = info.device;
+    f.detail = "drain deadline: cancelled wedged op #" +
+               std::to_string(info.id) + "\n" + stuck;
+  }
+  // Retry in place needs the expired task's own op to be the wedge, its
+  // outputs unread and its inputs unchanged.
+  f.retryable = victim != npos && retry_safe(entries_[victim]);
+  // The whole epoch is rolled back, so every other stall victim can be
+  // cancelled too — and must be, or the restart's quiesce would wedge on
+  // them.
+  f.before_restart = [this, &plat, &bs] { cancel_all_stalls(plat, bs); };
+  const std::size_t before = entries_.size();
+  switch (detail::recover(*st_, std::move(f)).taken) {
+    case detail::rung::retry: {
+      // The checkpoint log is suppressed for the retry: the original
+      // submission is already logged, and a restart must replay exactly
+      // one copy.
+      entry e = std::move(entries_[victim]);
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
+      const bool ckpt = st_->ckpt != nullptr;
+      resubmitting_ = true;
+      if (ckpt) {
+        st_->ckpt->set_suppressed(true);
+      }
+      try {
+        e.resubmit();
+      } catch (...) {
+        resubmitting_ = false;
+        if (ckpt) {
+          st_->ckpt->set_suppressed(false);
+        }
+        throw;
+      }
       resubmitting_ = false;
       if (ckpt) {
         st_->ckpt->set_suppressed(false);
       }
-      throw;
+      return;
     }
-    resubmitting_ = false;
-    if (ckpt) {
-      st_->ckpt->set_suppressed(false);
-    }
-    return;
-  }
-  // Rung 3: epoch restart with bit-identical replay. The whole epoch is
-  // rolled back, so every other stall victim can be cancelled too — and
-  // must be, or the restart's quiesce would wedge on them.
-  if (st_->ckpt != nullptr && !st_->ckpt->replaying()) {
-    for (;;) {
-      const cudasim::platform::stall_info more = plat.cancel_stalled_op();
-      if (!more.found) {
-        break;
-      }
-      ++bs.ops_cancelled;
-      strike(more.device);
-      st_->ckpt->note_cancellation();
-    }
-    // Quiesce-and-cancel: cancelling the visible wedges starts queued ops
-    // that may themselves be armed to stall — a stall only registers once
-    // its op begins executing. Drain to idle here, cancelling each late
-    // wedge as it surfaces, so the restart's own quiesce cannot hang.
-    for (;;) {
-      try {
-        st_->backend->wait_idle();
-        break;
-      } catch (const std::exception&) {
-        const cudasim::platform::stall_info late = plat.cancel_stalled_op();
-        if (!late.found) {
-          throw;
-        }
-        ++bs.ops_cancelled;
-        strike(late.device);
-        st_->ckpt->note_cancellation();
-      }
-    }
-    const std::size_t before = entries_.size();
-    if (detail::try_epoch_restart(*st_, nullptr, 0)) {
+    case detail::rung::restart:
       epoch_restarted = true;
       // Pre-restart entries track cancelled history; replayed submissions
       // re-registered themselves behind them during the replay.
@@ -320,24 +324,44 @@ void deadline_monitor::escalate(std::size_t idx) {
                      entries_.begin() + static_cast<std::ptrdiff_t>(
                                             std::min(before, entries_.size())));
       return;
-    }
+    default:
+      // Poisoned, with the cause chain naming the deadline and the stuck
+      // predecessor chain.
+      if (failed != npos) {
+        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(failed));
+      }
+      return;
   }
-  // Rung 4: poison-cancel with the cause chain naming the deadline and the
-  // stuck predecessor chain.
-  if (victim != npos) {
-    fail_entry(entries_[victim], stuck);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
-  } else if (idx != npos) {
-    // The wedge was an untracked op (a coherence copy) feeding the expired
-    // task: the task's inputs are suspect, so it takes the poison.
-    fail_entry(entries_[idx], stuck);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(idx));
-  } else {
-    // Untracked wedge during a drain (write-back / evacuation copy).
-    st_->record_failure(
-        failure_kind::deadline_expired, info.name, info.device, 1,
-        "drain deadline: cancelled wedged op #" + std::to_string(info.id) +
-            "\n" + stuck);
+}
+
+void deadline_monitor::cancel_all_stalls(cudasim::platform& plat,
+                                         backend_stats& bs) {
+  for (;;) {
+    const cudasim::platform::stall_info more = plat.cancel_stalled_op();
+    if (!more.found) {
+      break;
+    }
+    ++bs.ops_cancelled;
+    strike(more.device);
+    st_->ckpt->note_cancellation();
+  }
+  // Quiesce-and-cancel: cancelling the visible wedges starts queued ops
+  // that may themselves be armed to stall — a stall only registers once
+  // its op begins executing. Drain to idle here, cancelling each late
+  // wedge as it surfaces, so the restart's own quiesce cannot hang.
+  for (;;) {
+    try {
+      st_->backend->wait_idle();
+      return;
+    } catch (const std::exception&) {
+      const cudasim::platform::stall_info late = plat.cancel_stalled_op();
+      if (!late.found) {
+        throw;
+      }
+      ++bs.ops_cancelled;
+      strike(late.device);
+      st_->ckpt->note_cancellation();
+    }
   }
 }
 
@@ -368,25 +392,6 @@ bool deadline_monitor::retry_safe(const entry& e) const {
     }
   }
   return true;
-}
-
-void deadline_monitor::fail_entry(const entry& e, const std::string& stuck) {
-  const double rel = e.deadline_rel > 0.0 ? e.deadline_rel : default_deadline;
-  const std::uint64_t id = st_->record_failure(
-      failure_kind::deadline_expired, e.symbol, e.device, 1,
-      "deadline (" + std::to_string(rel) +
-          "s virtual) expired; wedged op cancelled, not recoverable in "
-          "place\n" +
-          stuck);
-  for (const auto& w : e.written) {
-    if (const auto d = w.lock(); d != nullptr && d->poisoned_by == 0) {
-      d->poisoned_by = id;
-      if (!st_->report.failures.empty() &&
-          st_->report.failures.back().id == id) {
-        st_->report.failures.back().poisoned.push_back(d->name());
-      }
-    }
-  }
 }
 
 void deadline_monitor::strike(int device) {

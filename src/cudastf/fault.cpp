@@ -1,13 +1,8 @@
 // Recovery engine behind the fault-aware submission path (DESIGN.md §5):
-// failure recording with cause chains, data poisoning and cancellation,
-// transient retry with virtual-time backoff, device blacklisting with
-// host evacuation and deterministic re-routing.
-//
-// Pipeline hook points (DESIGN.md §13): poison-cancel runs as the
-// pipeline's pre-acquire stage (cancel_if_poisoned); retry/re-route is
-// the resilient run path (run_resilient, driven by the execute_*
-// drivers' round loops); recording and escalation form the failure
-// ladder (fail_task / fail_task_or_restart) in submit.cpp.
+// failure recording, transient retry with virtual-time backoff, device
+// blacklisting with host evacuation and deterministic re-routing. Every
+// rung decision goes through recover() (submit.cpp); this file holds the
+// detectors and the mechanics the rungs use.
 #include <algorithm>
 #include <limits>
 #include <new>
@@ -297,15 +292,12 @@ void context_state::blacklist_device(int device) {
           d->poisoned_by == 0) [[unlikely]] {
         if (!integ->verify_instance(*this, *d, *inst, "evacuation") &&
             !integ->handle_corruption(*this, *d, *inst, "evacuation")) {
-          d->poisoned_by = record_failure(
-              failure_kind::data_corrupted, d->name(), device, 1,
-              "checksum mismatch at evacuation (write_version " +
-                  std::to_string(d->write_version) +
-                  ") with no valid replica to repair from");
-          if (!report.failures.empty() &&
-              report.failures.back().id == d->poisoned_by) {
-            report.failures.back().poisoned.push_back(d->name());
-          }
+          detail::recover(
+              *this, detail::lost_data(
+                         failure_kind::data_corrupted, d, device,
+                         "checksum mismatch at evacuation (write_version " +
+                             std::to_string(d->write_version) +
+                             ") with no valid replica to repair from"));
         }
       }
       if (inst->state == msi_state::modified && d->poisoned_by == 0) {
@@ -320,10 +312,11 @@ void context_state::blacklist_device(int device) {
           issue_copy(*this, *d, *inst, host);
           host.state = msi_state::modified;  // dead copy vanishes next
         } catch (const std::exception& e) {
-          d->poisoned_by = record_failure(
-              failure_kind::data_lost, d->name(), device, 1,
-              std::string("evacuation from failed device failed: ") +
-                  e.what());
+          detail::recover(
+              *this, detail::lost_data(
+                         failure_kind::data_lost, d, device,
+                         std::string("evacuation from failed device failed: ") +
+                             e.what()));
         }
       }
       inst->state = msi_state::invalid;
@@ -338,61 +331,6 @@ void context_state::blacklist_device(int device) {
 }
 
 namespace detail {
-
-namespace {
-
-// Attaches a poisoned-data name to the failure record `id` (when it made it
-// under the recording cap) so to_string() can render failure → poisoned
-// data → cancelled dependents.
-void record_poisoned(context_state& st, std::uint64_t id,
-                     const std::string& name) {
-  if (!st.report.failures.empty() && st.report.failures.back().id == id) {
-    st.report.failures.back().poisoned.push_back(name);
-  }
-}
-
-}  // namespace
-
-bool cancel_if_poisoned(context_state& st, const task_dep_untyped* const* deps,
-                        std::size_t n, std::string_view symbol) {
-  std::vector<std::uint64_t> causes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t p = deps[i]->data->poisoned_by;
-    if (p != 0 && std::find(causes.begin(), causes.end(), p) == causes.end()) {
-      causes.push_back(p);
-    }
-  }
-  if (causes.empty()) {
-    return false;
-  }
-  ++st.report.tasks_cancelled;
-  const std::uint64_t id = st.record_failure(
-      failure_kind::cancelled, std::string(symbol), -1, 0,
-      "not executed: input poisoned by upstream failure", std::move(causes));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mode_writes(deps[i]->mode) && deps[i]->data->poisoned_by == 0) {
-      deps[i]->data->poisoned_by = id;
-      record_poisoned(st, id, deps[i]->data->name());
-    }
-  }
-  return true;
-}
-
-std::uint64_t fail_task(context_state& st, const task_dep_untyped* const* deps,
-                        std::size_t n, std::string_view symbol,
-                        failure_kind kind, int device, int attempts,
-                        std::string detail) {
-  const std::uint64_t id =
-      st.record_failure(kind, std::string(symbol), device, attempts,
-                        std::move(detail));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mode_writes(deps[i]->mode) && deps[i]->data->poisoned_by == 0) {
-      deps[i]->data->poisoned_by = id;
-      record_poisoned(st, id, deps[i]->data->name());
-    }
-  }
-  return id;
-}
 
 void unpin_deps(const task_dep_untyped* const* deps, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -435,11 +373,11 @@ void msi_snapshot::restore() const {
   }
 }
 
-void filter_blacklisted(context_state& st, std::vector<int>& devices) {
+bool filter_blacklisted(context_state& st, std::vector<int>& devices) {
   const std::vector<int> original = devices;
   std::erase_if(devices, [&](int d) { return st.device_blacklisted(d); });
   if (!devices.empty() || original.empty()) {
-    return;
+    return devices.size() != original.size();
   }
   // Every requested device failed: re-route each onto a survivor the same
   // deterministic way single-device submissions are re-routed.
@@ -449,6 +387,20 @@ void filter_blacklisted(context_state& st, std::vector<int>& devices) {
       devices.push_back(r);
     }
   }
+  return true;
+}
+
+bool retry_refused(context_state& st, const run_result& rr, int attempts,
+                   int device, std::string_view symbol) {
+  failure f;
+  f.kind = kind_of(rr.status);
+  f.symbol = symbol;
+  f.device = device;
+  f.attempts = attempts;
+  f.retryable = !rr.partial && cudasim::status_transient(rr.status) &&
+                attempts < st.retry.max_attempts;
+  // Anything else escalates through the caller, after its own rollback.
+  return f.retryable && recover(st, std::move(f)).taken == rung::retry;
 }
 
 resilient_result run_resilient(
@@ -457,6 +409,7 @@ resilient_result run_resilient(
     const std::function<void(cudasim::stream&)>& payload,
     std::string_view symbol) {
   resilient_result r;
+  r.device = device;
   run_result rr;
   double backoff = st.retry.backoff_seconds;
   std::function<void(cudasim::stream&)> wrapped = payload;
@@ -464,12 +417,10 @@ resilient_result run_resilient(
     r.ev = st.backend->run(device, ch, ready, wrapped, symbol, &rr);
     r.status = rr.status;
     r.partial = rr.partial;
-    if (rr.status == cudasim::sim_status::success || rr.partial ||
-        !cudasim::status_transient(rr.status) ||
-        r.attempts >= st.retry.max_attempts) {
+    if (rr.status == cudasim::sim_status::success ||
+        !retry_refused(st, rr, r.attempts, device, symbol)) {
       return r;
     }
-    ++st.report.tasks_retried;
     const double b = backoff;
     backoff *= st.retry.backoff_multiplier;
     cudasim::platform* plat = st.plat;

@@ -5,8 +5,7 @@
 // planner's write_version generation — issued as asynchronous routed
 // transfers so checkpointing overlaps compute. Between checkpoints it
 // records the submission log of the running epoch; when a permanent failure
-// escalates past retry and blacklisting, the escalation ladder
-// (recover.hpp: retry → re-route/blacklist → restart-epoch → poison) rolls
+// reaches the restart rung of the recovery ladder (DESIGN.md §5), it rolls
 // the affected data back to the last committed checkpoint and replays the
 // log deterministically on the surviving devices, bit-identical to a
 // fault-free run.
@@ -20,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +29,6 @@ namespace cudastf {
 
 struct context_state;
 class logical_data_impl;
-struct task_dep_untyped;
 
 /// Checkpoint policy, passed to ctx.enable_checkpointing().
 struct checkpoint_options {
@@ -92,13 +89,14 @@ class checkpoint_manager {
   /// log was simply recommitted).
   bool take_checkpoint();
 
-  /// The restart-epoch rung of the escalation ladder: quiesce the backend,
-  /// roll every logical data touched since the last commit (or by the
-  /// failing task's writes) back to its committed snapshot, and replay the
-  /// epoch submission log deterministically. Returns false — caller falls
-  /// back to poison-and-cancel — when restarts are exhausted or a failure
-  /// occurs while already replaying.
-  bool try_restart(const task_dep_untyped* const* deps, std::size_t n);
+  /// The restart rung of recover() (DESIGN.md §5): quiesce the backend,
+  /// roll every logical data touched since the last commit (or listed in
+  /// `rollback`, the failing op's unreleased writes) back to its committed
+  /// snapshot, and replay the epoch submission log deterministically.
+  /// Returns false — the ladder falls through to poison — when restarts are
+  /// exhausted or a failure occurs while already replaying.
+  bool try_restart(const std::vector<std::shared_ptr<logical_data_impl>>&
+                       rollback);
 
   /// Hang-cancellation fence (DESIGN.md §12): called by the deadline
   /// monitor after it cancels a wedged op. Any committed snapshot whose
@@ -151,7 +149,7 @@ class checkpoint_manager {
     bool tainted = false;
   };
 
-  void restore_entry(entry& e, logical_data_impl& d);
+  void restore_entry(entry& e, const std::shared_ptr<logical_data_impl>& dp);
 
   context_state* st_;
   checkpoint_options opts_;
@@ -169,25 +167,5 @@ class checkpoint_manager {
   bool replaying_ = false;
   bool suppressed_ = false;  ///< deadline-retry suppression (set_suppressed)
 };
-
-namespace detail {
-
-/// The restart-epoch rung, callable from the submission paths: true when
-/// the context has a checkpoint manager and it rolled back + replayed;
-/// false when the caller must poison instead.
-bool try_epoch_restart(context_state& st, const task_dep_untyped* const* deps,
-                       std::size_t n);
-
-/// Drop-in replacement for fail_task at permanent-failure sites: escalates
-/// to an epoch restart when possible, else records the failure and poisons
-/// the written deps exactly like fail_task. Returns the failure id (0 when
-/// the epoch was restarted instead).
-std::uint64_t fail_task_or_restart(context_state& st,
-                                   const task_dep_untyped* const* deps,
-                                   std::size_t n, std::string_view symbol,
-                                   failure_kind kind, int device, int attempts,
-                                   std::string what);
-
-}  // namespace detail
 
 }  // namespace cudastf

@@ -247,11 +247,13 @@ class context {
     st_->mem.trim_all(*st_);
     try {
       st_->backend->fence();
-    } catch (...) {
-      // A permanently refused epoch launch (graph backend) escalates to an
-      // epoch restart when a checkpoint is armed; without one the refusal
-      // propagates — the epoch's work is unrecoverably lost (DESIGN.md §7).
-      if (!detail::try_epoch_restart(*st_, nullptr, 0)) {
+    } catch (const std::exception& e) {
+      // A permanently refused epoch launch (graph backend) climbs the
+      // recovery ladder (DESIGN.md §5): an epoch restart when a checkpoint
+      // is armed; otherwise the loss is recorded and the refusal
+      // propagates.
+      if (detail::recover(*st_, epoch_refused("fence", e)).taken !=
+          detail::rung::restart) {
         throw;
       }
     }
@@ -480,8 +482,9 @@ class context {
   }
 
   /// When disabled, kernel bodies are skipped: virtual-time benchmarking at
-  /// paper scale without host-side numerics (see DESIGN.md §1).
-  void set_compute_payloads(bool on) { st_->compute_payloads = on; }
+  /// paper scale without host-side numerics (see DESIGN.md §1). The switch
+  /// lives on the platform, so it covers every kernel a body launches.
+  void set_compute_payloads(bool on) { st_->plat->set_kernel_payloads(on); }
 
   /// Transfer-planner knobs (DESIGN.md §6): min-cost routing, broadcast
   /// trees, chunking threshold, in-flight coalescing, peer eviction
@@ -509,6 +512,16 @@ class context {
   std::uint64_t fast_path_submits() const { return st_->fast_submits.load(); }
 
  private:
+  /// The failure of an epoch launch refused at fence() or finalize().
+  static detail::failure epoch_refused(const char* site,
+                                       const std::exception& e) {
+    detail::failure f;
+    f.kind = failure_kind::device_lost;
+    f.symbol = site;
+    f.detail = std::string("epoch refused at ") + site + ": " + e.what();
+    return f;
+  }
+
   /// Whether the exclusive gate must engage (workers are live right now).
   bool mt() const { return st_->mt_active.load(std::memory_order_acquire); }
 

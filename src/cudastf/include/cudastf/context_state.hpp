@@ -87,10 +87,6 @@ struct context_state {
   /// fence/finalize time.
   event_list dangling;
 
-  /// When false, kernels submit with empty bodies: virtual-time benches at
-  /// paper scale without paying host-side numerics.
-  bool compute_payloads = true;
-
   /// LRU clock for eviction. Atomic (relaxed) because fast-path acquires
   /// stamp instance recency while holding only their data stripes.
   std::atomic<std::uint64_t> use_counter{0};

@@ -5,18 +5,12 @@
 // into stuck-repair: tasks arm virtual-time deadlines at submission
 // (ctx.task(...).deadline(s), ctx.set_default_deadline(s)); when a deadline
 // expires the monitor cooperatively cancels the wedged DES operation
-// (timeline::cancel tears it out of its engine and fires its successors)
-// and classifies the hang into the existing escalation ladder:
-//
-//   1. cancelled op is the expired task's own op, its outputs unread and
-//      its inputs unchanged            -> resubmit the task in place (retry)
-//   2. a device keeps hanging (>= quarantine_after strikes)
-//                                      -> blacklist + re-route off it
-//   3. not retryable in place          -> epoch restart with bit-identical
-//                                         replay (checkpoint.hpp)
-//   4. no checkpoint / restarts gone   -> poison-cancel with a cause chain
-//                                         naming the deadline and the stuck
-//                                         predecessor chain (stuck_report)
+// (timeline::cancel tears it out of its engine and fires its successors),
+// quarantines a device that keeps hanging (>= quarantine_after strikes),
+// and hands the hang to the recovery ladder (DESIGN.md §5): retry in place
+// when the task's outputs are unread and its inputs unchanged, else epoch
+// restart, else poison-cancel with a cause chain naming the deadline and
+// the stuck predecessor chain (stuck_report).
 //
 // The same engine provides overload backpressure: ctx.limits() bounds the
 // in-flight submission window; a full window blocks the submitter (driving
@@ -48,11 +42,13 @@
 
 namespace cudasim {
 struct op_node;
+class platform;
 }
 
 namespace cudastf {
 
 struct context_state;
+struct backend_stats;
 class logical_data_impl;
 struct task_dep_untyped;
 
@@ -176,9 +172,10 @@ class deadline_monitor {
   /// the observed contents generation, nothing poisoned.
   bool retry_safe(const entry& e) const;
 
-  /// Records the deadline_expired failure (cause chain carries the
-  /// pre-cancellation stuck report) and poisons `e`'s written data.
-  void fail_entry(const entry& e, const std::string& stuck);
+  /// Cancels every remaining wedge and drains to idle, cancelling late
+  /// wedges as they surface — the deadline's preparation for the restart
+  /// rung.
+  void cancel_all_stalls(cudasim::platform& plat, backend_stats& bs);
 
   /// One hang strike against `device`; quarantines it at the threshold.
   void strike(int device);

@@ -95,9 +95,9 @@ class integrity_engine {
 
   /// One background scrub pass over every resident valid instance
   /// (idle-time at-rest corruption sweep). Returns the number of corrupt
-  /// instances found; each is repaired in place or escalated through
-  /// fail_task_or_restart (which poisons the data when no checkpoint can
-  /// roll it back).
+  /// instances found; each is repaired in place or escalated through the
+  /// recovery ladder (which poisons the data when no checkpoint can roll it
+  /// back).
   std::size_t scrub(context_state& st);
 
  private:

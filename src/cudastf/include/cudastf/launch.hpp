@@ -106,8 +106,7 @@ class [[nodiscard]] launch_builder {
     }
 
     void run(const int* devices, std::size_t ndev, const event_list& ready,
-             event_list& done, detail::resilient_result* rr,
-             int* bad_device) override {
+             event_list& done, detail::resilient_result* rr) override {
       auto views = detail::make_views(res, b.deps_,
                                       std::index_sequence_for<Deps...>{});
       for (std::size_t i = 0; i < ndev; ++i) {
@@ -116,7 +115,6 @@ class [[nodiscard]] launch_builder {
                            done, rr != nullptr ? &r : nullptr);
         if (rr != nullptr && r.status != cudasim::sim_status::success) {
           *rr = r;
-          *bad_device = devices[i];
           return;
         }
       }
@@ -168,18 +166,15 @@ class [[nodiscard]] launch_builder {
     const double f1 = static_cast<double>(i + 1) / ndev;
     detail::add_all_traffic(k, resolved, deps_, f0, f1, devices[i], seq);
     k.bytes /= efficiency_;
-    std::function<void()> body;
-    if (st_->compute_payloads) {
-      auto spec = spec_;
-      const int rank = static_cast<int>(i);
-      // By value: the body runs at drain time, after this frame is gone.
-      body = [fn, views, spec, rank, ndev]() mutable {
-        run_hierarchy(spec, rank, ndev, [&](thread_hierarchy& th) {
-          std::apply([&](auto&... v) { fn(th, v...); }, views);
-        });
-      };
-    }
     cudasim::platform* plat = st_->plat;
+    const int rank = static_cast<int>(i);
+    // By value: the body runs at drain time, after this frame is gone.
+    std::function<void()> body = plat->kernel_body(
+        [fn, views, spec = spec_, rank, ndev]() mutable {
+          run_hierarchy(spec, rank, ndev, [&](thread_hierarchy& th) {
+            std::apply([&](auto&... v) { fn(th, v...); }, views);
+          });
+        });
     auto payload = [plat, k, body](cudasim::stream& s) {
       plat->launch_kernel(s, k, body);
     };

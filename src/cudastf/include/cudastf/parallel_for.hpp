@@ -128,7 +128,7 @@ class [[nodiscard]] parallel_for_builder {
     std::array<data_place, sizeof...(Deps)> resolved;
     hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn, host);
     if (host) {
-      pipe.execute_host_shard(h);
+      pipe.execute_host(h);
       return;
     }
     pipe.execute_grid(h);
@@ -173,8 +173,7 @@ class [[nodiscard]] parallel_for_builder {
     }
 
     void run(const int* devices, std::size_t ndev, const event_list& ready,
-             event_list& done, detail::resilient_result* rr,
-             int* bad_device) override {
+             event_list& done, detail::resilient_result* rr) override {
       auto views = detail::make_views(res, b.deps_,
                                       std::index_sequence_for<Deps...>{});
       if (host) {
@@ -187,7 +186,6 @@ class [[nodiscard]] parallel_for_builder {
                            done, rr != nullptr ? &r : nullptr);
         if (rr != nullptr && r.status != cudasim::sim_status::success) {
           *rr = r;
-          *bad_device = devices[i];
           return;
         }
       }
@@ -249,19 +247,17 @@ class [[nodiscard]] parallel_for_builder {
       detail::add_all_traffic(k, resolved, deps_, f0, f1, devices[i], seq);
       k.bytes /= efficiency_;
     }
-    std::function<void()> body;
-    if (st_->compute_payloads) {
-      auto shape = shape_;
-      // By value: the body runs at drain time, after this frame is gone.
-      body = [fn, views, shape, span]() mutable {
-        for (std::size_t lin = span.begin; lin < span.end; lin += span.stride) {
-          detail::invoke_elem<R>(fn, shape.index_to_coords(lin), views,
-                                 std::make_index_sequence<R>{},
-                                 std::index_sequence_for<Deps...>{});
-        }
-      };
-    }
     cudasim::platform* plat = st_->plat;
+    // By value: the body runs at drain time, after this frame is gone.
+    std::function<void()> body =
+        plat->kernel_body([fn, views, shape = shape_, span]() mutable {
+          for (std::size_t lin = span.begin; lin < span.end;
+               lin += span.stride) {
+            detail::invoke_elem<R>(fn, shape.index_to_coords(lin), views,
+                                   std::make_index_sequence<R>{},
+                                   std::index_sequence_for<Deps...>{});
+          }
+        });
     auto payload = [plat, k, body](cudasim::stream& s) {
       plat->launch_kernel(s, k, body);
     };

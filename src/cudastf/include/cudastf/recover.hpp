@@ -1,17 +1,11 @@
-// Fault-recovery helpers behind the submission slow path (DESIGN.md §5/§7).
+// The recovery ladder (DESIGN.md §5 holds the rung table).
 //
-// The builder templates in task.hpp / launch.hpp / parallel_for.hpp stay
-// thin: everything type-erasable lives here and is implemented in
-// fault.cpp. None of this is touched on the fault-free fast path.
-//
-// Escalation ladder for a failed submission (DESIGN.md §7):
-//   1. transient fault  -> retry with virtual-time backoff (run_resilient)
-//   2. device lost      -> blacklist + evacuate + re-route to a survivor
-//   3. still permanent  -> epoch restart: roll data back to the committed
-//                          checkpoint and replay the submission log
-//                          (fail_task_or_restart -> checkpoint.hpp)
-//   4. no checkpoint / restarts exhausted / failure during replay
-//                       -> poison written data, cancel dependents
+// Every engine is a detector: the submission drivers, the transfer
+// planner, the integrity engine, checkpoint commit, the deadline monitor,
+// fence() and finalize() build a `failure` and hand it to recover(), which
+// alone picks the rung — retry, re-route/quarantine, epoch restart or
+// poison. The helpers below are the type-erased pieces the drivers in
+// submit.cpp share; none of this is touched on the fault-free fast path.
 #pragma once
 
 #include <cstdint>
@@ -21,26 +15,63 @@
 #include <utility>
 #include <vector>
 
-#include "cudastf/checkpoint.hpp"  // fail_task_or_restart / try_epoch_restart
 #include "cudastf/context_state.hpp"
 #include "cudastf/data.hpp"
 #include "cudastf/error.hpp"
 
 namespace cudastf::detail {
 
-/// If any dependency's data is poisoned, records the task as cancelled
-/// (cause chain = the poisoning failure ids), propagates poison to the
-/// deps the task would have written, and returns true: the caller must not
-/// execute the task.
-bool cancel_if_poisoned(context_state& st, const task_dep_untyped* const* deps,
-                        std::size_t n, std::string_view symbol);
+/// One detected failure, as a detector reports it to the ladder. The rung
+/// flags say which rungs the detector can honour; recover() takes the
+/// first that applies.
+struct failure {
+  failure_kind kind = failure_kind::submission_exception;
+  std::string symbol;  ///< failed op, or the data / engine that detected it
+  int device = -1;
+  int attempts = 1;
+  std::string detail;
+  /// Data the failed op writes: poisoned on the last rung.
+  std::vector<data_impl_ptr> written;
+  /// Upstream failure ids (cancellations: the failures that poisoned an
+  /// input).
+  std::vector<std::uint64_t> causes;
+  /// Rung 1: re-running in place reproduces the fault-free result.
+  bool retryable = false;
+  /// Rung 2: the op can move off a lost device onto a survivor.
+  bool reroutable = false;
+  /// Rung 3: the context may roll back and replay instead of poisoning.
+  bool restartable = true;
+  /// The op never reached release, so its written data kept its contents
+  /// generation: a restart must roll it back regardless.
+  bool rollback_written = true;
+  /// Runs just before the restart rung (deadline monitor: cancel every
+  /// remaining wedge so the restart's quiesce cannot hang).
+  std::function<void()> before_restart;
+};
 
-/// Records a permanent task failure, poisons every written dependency and
-/// switches the context into recovery mode. Returns the failure id.
-std::uint64_t fail_task(context_state& st, const task_dep_untyped* const* deps,
-                        std::size_t n, std::string_view symbol,
-                        failure_kind kind, int device, int attempts,
-                        std::string detail);
+enum class rung : std::uint8_t { retry, reroute, restart, poison };
+
+struct recovery {
+  rung taken = rung::poison;
+  std::uint64_t id = 0;  ///< recorded failure id (poison rung only)
+};
+
+/// The ladder. Quarantines a lost device, then takes the first applicable
+/// rung: retry (counted in tasks_retried), re-route, epoch restart, or
+/// poison — record the failure, poison `written`, count a cancellation.
+recovery recover(context_state& st, failure f);
+
+/// The failure of one logical data lost outright where it was detected
+/// (mid-acquire, mid-blacklist, mid-restore, at write-back): poison only,
+/// since nothing can replay from there.
+failure lost_data(failure_kind kind, data_impl_ptr d, int device,
+                  std::string detail);
+
+/// Rung-1 detector for a refused backend submission (task shard or
+/// coherence copy): true, with the retry counted, when nothing executed,
+/// the status may clear on the same device and attempts remain.
+bool retry_refused(context_state& st, const run_result& rr, int attempts,
+                   int device, std::string_view symbol);
 
 /// Drops the acquire-time pins of every dependency (a failed submission
 /// never reaches release_dep, which normally unpins).
@@ -67,9 +98,9 @@ class msi_snapshot {
 /// Removes blacklisted devices from `devices` in place. If that empties
 /// the list, re-routes each original device onto a surviving one
 /// (survivors[d % n], deduplicated) so single-device and whole-grid
-/// submissions recover uniformly; throws device_lost_error when no device
-/// in the platform survives.
-void filter_blacklisted(context_state& st, std::vector<int>& devices);
+/// submissions recover uniformly. Returns whether the list changed; throws
+/// device_lost_error when no device in the platform survives.
+bool filter_blacklisted(context_state& st, std::vector<int>& devices);
 
 /// Outcome of run_resilient.
 struct resilient_result {
@@ -77,13 +108,13 @@ struct resilient_result {
   cudasim::sim_status status = cudasim::sim_status::success;
   bool partial = false;
   int attempts = 1;
+  int device = -1;  ///< the shard's device
 };
 
-/// Submits `payload` through the backend, absorbing transient faults with
-/// up to retry.max_attempts attempts under exponential virtual-time
-/// backoff. Returns on success, on a partial submission (never retried:
-/// the executed prefix must not run twice), on a non-transient status, or
-/// when attempts are exhausted.
+/// Submits `payload` through the backend, absorbing transient faults on the
+/// retry rung under exponential virtual-time backoff. Returns on success,
+/// on a partial submission (never retried: the executed prefix must not run
+/// twice), on a non-transient status, or when attempts are exhausted.
 resilient_result run_resilient(
     context_state& st, int device, backend_iface::channel ch,
     const event_list& ready,

@@ -6,16 +6,18 @@
 //
 // The cross-cutting engines attach at fixed stages of that core instead of
 // being re-inlined per builder: overload admission + checkpoint recording
-// (stage_admission), poison-cancel and retry/re-route (the execute_*
-// drivers), integrity dual-execution (run_shard), deadline tracking and
-// declared ordering (finish). A future engine touches submit.{hpp,cpp}
-// only. The same stages are exposed publicly through submit_observer
-// (ctx.observe()): per-op structured trace records and a Graphviz DOT
-// exporter (ctx.dot_export(), CUDASTF_DOT_FILE) ship as observers.
+// (stage_admission), poison-cancel and the recovery ladder (the execute_*
+// drivers, which report every failure to recover(), DESIGN.md §5),
+// integrity dual-execution (run_shard), deadline tracking and declared
+// ordering (finish). A future engine touches submit.{hpp,cpp} only. The
+// same stages are exposed publicly through submit_observer (ctx.observe()):
+// per-op structured trace records and a Graphviz DOT exporter
+// (ctx.dot_export(), CUDASTF_DOT_FILE) ship as observers.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -178,11 +180,11 @@ struct op_hooks {
   /// Submit the op's payload(s) over `devices`. Each shard goes through
   /// pipeline.run_shard(), which selects the plain / verified / resilient
   /// backend path. With rr == nullptr this is the plain path (failures
-  /// throw); otherwise a shard failure is reported through *rr and
-  /// *bad_device and the loop stops.
+  /// throw); otherwise a shard failure is reported through *rr and the loop
+  /// stops.
   virtual void run(const int* devices, std::size_t n_devices,
                    const event_list& ready, event_list& done,
-                   resilient_result* rr, int* bad_device) = 0;
+                   resilient_result* rr) = 0;
 
   /// Release every dependency against the completion list.
   virtual void release(const event_list& done) = 0;
@@ -227,12 +229,10 @@ class submit_pipeline {
   /// submission retry over the surviving grid when fault-aware.
   void execute_grid(op_hooks& h);
 
-  /// ctx.host_launch(): host channel, poison-cancel when fault-aware,
-  /// escalate-don't-throw on typed failures.
-  void execute_host_task(op_hooks& h);
-
-  /// parallel_for on the host place: plain host-channel submission.
-  void execute_host_shard(op_hooks& h);
+  /// ctx.host_launch() and parallel_for on the host place: one host-channel
+  /// submission. Host tasks poison-cancel when fault-aware and send typed
+  /// failures up the ladder instead of throwing.
+  void execute_host(op_hooks& h);
 
   /// One backend submission for the shard on `device`: integrity-verified
   /// for tasks when armed, resilient when `rr` is non-null, plain backend
@@ -251,6 +251,10 @@ class submit_pipeline {
   /// op was cancelled (with its cause chain recorded).
   bool cancelled();
 
+  /// Tasks and host tasks: the constructs that take part in declared
+  /// ordering and record their own failures.
+  bool task_like() const;
+
   /// Declared-ordering wait (task/host constructs only).
   void merge_order(event_list& ready);
 
@@ -259,31 +263,27 @@ class submit_pipeline {
   void finish(op_hooks& h, const event_list& done, const int* devices,
               std::size_t ndev, bool resubmittable);
 
+  /// One attempt, no snapshot: tasks off the fault-aware path, host tasks
+  /// and host shards.
   void execute_plain(op_hooks& h, const int* devices, std::size_t ndev,
                      bool resubmittable);
-  [[gnu::cold]] [[gnu::noinline]] void execute_task_resilient(op_hooks& h,
-                                                              int device);
-  [[gnu::cold]] [[gnu::noinline]] void execute_grid_resilient(op_hooks& h);
+  /// The fault-aware driver for tasks (`devices` = their one device) and
+  /// grids (empty: re-planned every round): snapshot, attempt, and report
+  /// each failure to the ladder, looping while it re-routes.
+  [[gnu::cold]] [[gnu::noinline]] void execute_resilient(
+      op_hooks& h, std::vector<int> devices);
 
-  /// Failure recording that keeps the poison (no restart): unpin + record.
-  [[gnu::cold]] [[gnu::noinline]] void plain_failure(failure_kind kind,
-                                                     int device,
-                                                     const char* what);
-  /// Record without unpinning (resilient paths roll back pins themselves).
-  [[gnu::cold]] [[gnu::noinline]] void hard_failure(failure_kind kind,
-                                                    int device, int attempts,
-                                                    const char* what);
-  /// Escalation ladder: epoch restart when checkpointing is armed, else
-  /// poison + record.
-  [[gnu::cold]] [[gnu::noinline]] void escalate(failure_kind kind, int device,
-                                                int attempts,
-                                                const char* what);
-  /// Host-task typed-failure policy: unpin, quarantine a lost device,
-  /// then rethrow (not fault-aware) or escalate (fault-aware).
-  [[gnu::cold]] [[gnu::noinline]] void host_failure(bool aware,
-                                                    failure_kind kind,
-                                                    int device,
-                                                    const char* what);
+  /// A failure of this op: its symbol and written data filled in.
+  failure make_failure(failure_kind kind, int device, int attempts,
+                       std::string detail) const;
+  /// Hands `f` to recover() and reports the outcome to observers (unless
+  /// the op re-routes and tries again).
+  [[gnu::cold]] [[gnu::noinline]] rung fail(failure f);
+  /// The catch-all of every driver, called inside the handler after the
+  /// op's pins were dropped: classifies the exception in flight into `f`.
+  /// Typed failures of a fault-aware op (`aware`) climb the ladder; any
+  /// other exception is recorded with poison only and rethrown.
+  [[gnu::cold]] [[gnu::noinline]] rung fail_in_flight(failure f, bool aware);
   void rollback(const msi_snapshot& snap);
   [[gnu::cold]] [[gnu::noinline]] void record_to_log(
       std::function<void()> requeue);
@@ -327,11 +327,12 @@ bool fast_path_armed(const context_state& st);
 /// composite places. Fills `resolved`; called under the dep stripes.
 bool fast_path_ready(const op_desc& op, int device, data_place* resolved);
 
-/// Cold epilogue of a failed fast-path submission: unpin and record, under
-/// the exclusive gate + context lock (the caller re-locks before calling).
-[[gnu::cold]] void fast_submit_failure(context_state& st, const op_desc& op,
-                                       failure_kind kind, int device,
-                                       const char* what);
+/// Cold epilogue of a failed fast-path submission: unpin, record with
+/// poison and rethrow `err`, under the exclusive gate + context lock (the
+/// caller re-locks before calling).
+[[gnu::cold]] [[noreturn]] void fast_submit_failure(
+    context_state& st, const op_desc& op, int device,
+    const std::exception_ptr& err);
 
 /// CUDASTF_DOT_FILE arming (context creation) and flush (finalize).
 void arm_env_dot(context_state& st);

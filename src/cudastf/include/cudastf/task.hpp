@@ -153,7 +153,7 @@ class [[nodiscard]] task_builder {
     }
 
     void run(const int* devices, std::size_t, const event_list& ready,
-             event_list& done, detail::resilient_result* rr, int*) override {
+             event_list& done, detail::resilient_result* rr) override {
       auto views = detail::make_views(res, b.deps_,
                                       std::index_sequence_for<Deps...>{});
       // The body runs synchronously inside the backend submission, so the
@@ -239,8 +239,6 @@ class [[nodiscard]] task_builder {
     if (!detail::fast_path_ready(op, device, resolved.data())) {
       return false;  // allocation/transfer needed: structural
     }
-    failure_kind fail_kind = failure_kind::submission_exception;
-    std::string fail_buf;
     std::exception_ptr err;
     try {
       event_list ready = detail::acquire_all(st, device, resolved, deps_, seq);
@@ -256,13 +254,7 @@ class [[nodiscard]] task_builder {
       detail::release_all(st, resolved, deps_, done_list, seq);
       st.fast_submits += 1;
       return true;
-    } catch (const std::bad_alloc& e) {
-      fail_kind = failure_kind::out_of_memory;
-      fail_buf = e.what();
-      err = std::current_exception();
-    } catch (const std::exception& e) {
-      fail_kind = failure_kind::submission_exception;
-      fail_buf = e.what();
+    } catch (...) {
       err = std::current_exception();
     }
     // Failure epilogue: drop the stripes and the shared gate, then record
@@ -272,8 +264,7 @@ class [[nodiscard]] task_builder {
     sg.unlock();
     detail::gate_exclusive xg(st.gate, true);
     std::lock_guard lock(st.mu);
-    detail::fast_submit_failure(st, op, fail_kind, device, fail_buf.c_str());
-    std::rethrow_exception(err);
+    detail::fast_submit_failure(st, op, device, err);
   }
 
   std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
@@ -334,7 +325,7 @@ class [[nodiscard]] host_launch_builder {
                              : std::function<void()>{});
     std::array<data_place, sizeof...(Deps)> resolved;
     hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_host_task(h);
+    pipe.execute_host(h);
   }
 
  private:
@@ -360,7 +351,7 @@ class [[nodiscard]] host_launch_builder {
     }
 
     void run(const int*, std::size_t, const event_list& ready,
-             event_list& done, detail::resilient_result* rr, int*) override {
+             event_list& done, detail::resilient_result* rr) override {
       auto views = detail::make_views(res, b.deps_,
                                       std::index_sequence_for<Deps...>{});
       cudasim::platform* plat = b.st_->plat;

@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "cudastf/checkpoint.hpp"
 #include "cudastf/context_state.hpp"
 #include "cudastf/error.hpp"
+#include "cudastf/recover.hpp"
 #include "cudastf/transfer.hpp"
 
 namespace cudastf {
@@ -241,16 +241,15 @@ std::size_t integrity_engine::scrub(context_state& st) {
       // when checkpointing is armed, else the data is poisoned and its
       // dependents cancel. A restart replays into a fresh world, so the
       // pass ends here either way.
-      task_dep_untyped dep;
-      dep.data = d;
-      dep.mode = access_mode::rw;
-      const task_dep_untyped* dp = &dep;
-      detail::fail_task_or_restart(
-          st, &dp, 1, "scrub", failure_kind::data_corrupted,
-          instance_device(inst), 1,
-          "checksum mismatch at scrub (write_version " +
-              std::to_string(d->write_version) +
-              ") with no valid replica to repair from");
+      detail::failure f;
+      f.kind = failure_kind::data_corrupted;
+      f.symbol = "scrub";
+      f.device = instance_device(inst);
+      f.detail = "checksum mismatch at scrub (write_version " +
+                 std::to_string(d->write_version) +
+                 ") with no valid replica to repair from";
+      f.written = {d};
+      detail::recover(st, std::move(f));
       return found;
     }
   }
@@ -261,17 +260,14 @@ namespace detail {
 
 void throw_corruption(context_state& st, logical_data_impl& d, int device,
                       const char* site) {
-  const std::uint64_t id = st.record_failure(
-      failure_kind::data_corrupted, d.name(), device, 1,
-      std::string("checksum mismatch at ") + site + " (write_version " +
-          std::to_string(d.write_version) +
-          ") with no valid replica to repair from");
-  if (d.poisoned_by == 0) {
-    d.poisoned_by = id;
-    if (!st.report.failures.empty() && st.report.failures.back().id == id) {
-      st.report.failures.back().poisoned.push_back(d.name());
-    }
-  }
+  // Poisoned at detection time; the submission that catches the throw
+  // escalates its own failure once it has rolled back.
+  recover(st, lost_data(failure_kind::data_corrupted, d.shared_from_this(),
+                        device,
+                        std::string("checksum mismatch at ") + site +
+                            " (write_version " +
+                            std::to_string(d.write_version) +
+                            ") with no valid replica to repair from"));
   throw corruption_error(d.name(), device, site, d.write_version);
 }
 

@@ -2,6 +2,7 @@
 // every construct. The bodies below are the former per-builder lowering of
 // task.hpp / parallel_for.hpp / launch.hpp, unified — each engine attaches
 // at exactly one stage here instead of being re-inlined per builder.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -213,6 +214,106 @@ bool dot_exporter::write(const std::string& path) const {
 
 namespace detail {
 
+// --- the recovery ladder (DESIGN.md §5) ---
+
+recovery recover(context_state& st, failure f) {
+  // Quarantine: a lost device takes no further work, whichever rung runs.
+  if (f.kind == failure_kind::device_lost) {
+    st.blacklist_device(f.device);
+  }
+  if (f.retryable) {
+    ++st.report.tasks_retried;
+    return {rung::retry, 0};
+  }
+  if (f.reroutable) {
+    return {rung::reroute, 0};
+  }
+  if (f.restartable && st.ckpt != nullptr && !st.ckpt->replaying()) {
+    if (f.before_restart) {
+      f.before_restart();
+    }
+    if (st.ckpt->try_restart(f.rollback_written ? f.written
+                                                : std::vector<data_impl_ptr>{})) {
+      return {rung::restart, 0};
+    }
+  }
+  if (f.kind == failure_kind::cancelled) {
+    ++st.report.tasks_cancelled;
+  }
+  const std::uint64_t id =
+      st.record_failure(f.kind, std::move(f.symbol), f.device, f.attempts,
+                        std::move(f.detail), std::move(f.causes));
+  for (const data_impl_ptr& d : f.written) {
+    if (d->poisoned_by != 0) {
+      continue;
+    }
+    d->poisoned_by = id;
+    // Name the data on the record (when it made it under the recording
+    // cap) so to_string() renders failure -> poisoned data -> dependents.
+    if (!st.report.failures.empty() && st.report.failures.back().id == id) {
+      st.report.failures.back().poisoned.push_back(d->name());
+    }
+  }
+  return {rung::poison, id};
+}
+
+failure lost_data(failure_kind kind, data_impl_ptr d, int device,
+                  std::string detail) {
+  failure f;
+  f.kind = kind;
+  f.symbol = d->name();
+  f.device = device;
+  f.detail = std::move(detail);
+  f.written = {std::move(d)};
+  f.restartable = false;
+  return f;
+}
+
+namespace {
+
+/// The one exception classifier behind every driver: rethrows the
+/// exception in flight and files its kind, device and detail into `f`.
+/// Exceptions not derived from std::exception propagate.
+failure classify(failure f) {
+  try {
+    throw;
+  } catch (const device_lost_error& e) {
+    f.kind = failure_kind::device_lost;
+    f.device = e.device;
+    f.detail = "device lost during data acquire";
+  } catch (const transfer_error& e) {
+    f.kind = failure_kind::link_error;
+    f.detail = e.what();
+  } catch (const corruption_error& e) {
+    f.kind = failure_kind::data_corrupted;
+    f.device = e.device;
+    f.detail = e.what();
+  } catch (const std::bad_alloc& e) {
+    f.kind = failure_kind::out_of_memory;
+    f.detail = e.what();
+  } catch (const std::exception& e) {
+    f.kind = failure_kind::submission_exception;
+    f.detail = e.what();
+  }
+  return f;
+}
+
+/// A failure of `op` on `device`: its symbol and the data it writes.
+failure op_failure(const op_desc& op, int device, int attempts) {
+  failure f;
+  f.symbol = *op.symbol;
+  f.device = device;
+  f.attempts = attempts;
+  for (std::size_t i = 0; i < op.n_deps; ++i) {
+    if (mode_writes(op.deps[i]->mode)) {
+      f.written.push_back(op.deps[i]->data);
+    }
+  }
+  return f;
+}
+
+}  // namespace
+
 // --- pipeline construction / observation ---
 
 submit_pipeline::submit_pipeline(context_state& st, const op_desc& op)
@@ -321,34 +422,34 @@ bool submit_pipeline::wants_verified() const {
          (op_.verified || st_.integ->cfg.verify_all_tasks);
 }
 
+bool submit_pipeline::task_like() const {
+  return op_.kind == op_kind::task || op_.kind == op_kind::host;
+}
+
 void submit_pipeline::merge_order(event_list& ready) {
-  if (!st_.order_edges.empty()) [[unlikely]] {
+  if (task_like() && !st_.order_edges.empty()) [[unlikely]] {
     st_.events_pruned += ready.merge(st_.order_wait(*op_.symbol));
   }
 }
 
 bool submit_pipeline::cancelled() {
   std::vector<std::uint64_t> causes;
-  if (rec_ != nullptr) [[unlikely]] {
-    // Collect the upstream failure ids before the cancel consumes them
-    // into the error report's cause chain.
-    for (std::size_t i = 0; i < op_.n_deps; ++i) {
-      const auto& d = op_.deps[i]->data;
-      if (d == nullptr || d->poisoned_by == 0) {
-        continue;
-      }
-      bool seen = false;
-      for (std::uint64_t c : causes) {
-        seen = seen || c == d->poisoned_by;
-      }
-      if (!seen) {
-        causes.push_back(d->poisoned_by);
-      }
+  for (std::size_t i = 0; i < op_.n_deps; ++i) {
+    const std::uint64_t p = op_.deps[i]->data->poisoned_by;
+    if (p != 0 && std::find(causes.begin(), causes.end(), p) == causes.end()) {
+      causes.push_back(p);
     }
   }
-  if (!detail::cancel_if_poisoned(st_, op_.deps, op_.n_deps, *op_.symbol)) {
+  if (causes.empty()) {
     return false;
   }
+  // A cancellation is the poison rung applied to a dependent: its writes
+  // are poisoned in turn, with the upstream failures as the cause chain.
+  failure f = make_failure(failure_kind::cancelled, -1, 0,
+                           "not executed: input poisoned by upstream failure");
+  f.causes = causes;
+  f.restartable = false;
+  recover(st_, std::move(f));
   emit(op_status::cancelled, failure_kind::cancelled, 0, nullptr, 0,
        std::move(causes));
   return true;
@@ -358,8 +459,7 @@ void submit_pipeline::finish(op_hooks& h, const event_list& done,
                              const int* devices, std::size_t ndev,
                              bool resubmittable) {
   h.release(done);
-  if ((op_.kind == op_kind::task || op_.kind == op_kind::host) &&
-      !st_.order_edges.empty()) [[unlikely]] {
+  if (task_like() && !st_.order_edges.empty()) [[unlikely]] {
     st_.order_record(*op_.symbol, done);
   }
   if (st_.dl != nullptr) [[unlikely]] {
@@ -380,39 +480,39 @@ void submit_pipeline::rollback(const msi_snapshot& snap) {
   detail::unpin_deps(op_.deps, op_.n_deps);
 }
 
-// --- failure recording ---
+// --- failure reporting: every driver is a detector for recover() ---
 
-void submit_pipeline::hard_failure(failure_kind kind, int device, int attempts,
-                                   const char* what) {
-  const std::uint64_t id = detail::fail_task(
-      st_, op_.deps, op_.n_deps, *op_.symbol, kind, device, attempts, what);
-  emit(op_status::failed, kind, id, &device, 1, {});
+failure submit_pipeline::make_failure(failure_kind kind, int device,
+                                      int attempts, std::string detail) const {
+  failure f = op_failure(op_, device, attempts);
+  f.kind = kind;
+  f.detail = std::move(detail);
+  return f;
 }
 
-void submit_pipeline::plain_failure(failure_kind kind, int device,
-                                    const char* what) {
-  detail::unpin_deps(op_.deps, op_.n_deps);
-  hard_failure(kind, device, 1, what);
-}
-
-void submit_pipeline::escalate(failure_kind kind, int device, int attempts,
-                               const char* what) {
-  const std::uint64_t id = detail::fail_task_or_restart(
-      st_, op_.deps, op_.n_deps, *op_.symbol, kind, device, attempts, what);
-  emit(op_status::failed, kind, id, &device, 1, {});
-}
-
-void submit_pipeline::host_failure(bool aware, failure_kind kind, int device,
-                                   const char* what) {
-  detail::unpin_deps(op_.deps, op_.n_deps);
-  if (kind == failure_kind::device_lost) {
-    st_.blacklist_device(device);
+rung submit_pipeline::fail(failure f) {
+  const failure_kind kind = f.kind;
+  const int device = f.device;
+  const recovery r = recover(st_, std::move(f));
+  if (r.taken != rung::reroute) {
+    emit(op_status::failed, kind, r.id, &device, 1, {});
   }
-  if (!aware) {
-    hard_failure(kind, device, 1, what);
-    throw;  // rethrows the exception being handled by the caller's catch
+  return r.taken;
+}
+
+rung submit_pipeline::fail_in_flight(failure f, bool aware) {
+  f = classify(std::move(f));
+  // Typed failures of a fault-aware op climb the ladder and are absorbed;
+  // anything else (a throwing body, a logic error, any failure of a
+  // non-fault-aware op) keeps the poison and reaches the caller.
+  const bool absorb = aware && f.kind != failure_kind::submission_exception;
+  f.reroutable = absorb && f.reroutable && f.kind == failure_kind::device_lost;
+  f.restartable = absorb;
+  const rung r = fail(std::move(f));
+  if (!absorb) {
+    throw;  // the exception the caller's handler is processing
   }
-  escalate(kind, device, 1, what);
+  return r;
 }
 
 // --- run stage ---
@@ -446,146 +546,49 @@ void submit_pipeline::run_shard(int device, const event_list& ready,
 void submit_pipeline::execute_plain(op_hooks& h, const int* devices,
                                     std::size_t ndev, bool resubmittable) {
   resolved_ = h.resolved;
-  event_list done;
-  if (op_.kind == op_kind::task) {
-    // Plain-task policy: failures record (unpin + poison) and rethrow; the
-    // integrity-verified variant and release/track run inside the guarded
-    // region so their exceptions record too.
-    const int device = devices[0];
-    try {
-      event_list ready = h.acquire(device);
-      merge_order(ready);
-      h.run(devices, ndev, ready, done, nullptr, nullptr);
-      finish(h, done, devices, ndev, resubmittable);
-    } catch (const corruption_error& e) {
-      plain_failure(failure_kind::data_corrupted, e.device, e.what());
-      throw;
-    } catch (const std::bad_alloc& e) {
-      plain_failure(failure_kind::out_of_memory, device, e.what());
-      throw;
-    } catch (const std::exception& e) {
-      plain_failure(failure_kind::submission_exception, device, e.what());
-      throw;
-    }
+  // Tasks and host tasks record their failures; structured constructs only
+  // drop their pins and rethrow.
+  const bool recorded = task_like();
+  const bool aware = recorded && st_.fault_aware();
+  if (aware && cancelled()) {
     return;
   }
-  // Structured constructs (parallel_for / launch, incl. host shards): a
-  // failed submission never reaches release (which normally unpins), so
-  // drop the acquire-time pins and rethrow without recording a failure.
+  event_list done;
   try {
     event_list ready = h.acquire(devices[0]);
-    h.run(devices, ndev, ready, done, nullptr, nullptr);
+    merge_order(ready);
+    h.run(devices, ndev, ready, done, nullptr);
+    if (recorded) {
+      finish(h, done, devices, ndev, resubmittable);  // failures recorded too
+    }
   } catch (...) {
     detail::unpin_deps(op_.deps, op_.n_deps);
-    emit(op_status::failed, failure_kind::submission_exception, 0, devices,
-         ndev, {});
-    throw;
+    if (!recorded) {
+      emit(op_status::failed, failure_kind::submission_exception, 0, devices,
+           ndev, {});
+      throw;
+    }
+    fail_in_flight(make_failure(failure_kind::submission_exception,
+                                devices[0], 1, {}),
+                   aware);
+    return;
   }
-  finish(h, done, devices, ndev, resubmittable);
+  if (!recorded) {
+    finish(h, done, devices, ndev, resubmittable);
+  }
 }
 
 void submit_pipeline::execute_task(op_hooks& h, int device) {
-  if (!st_.fault_aware()) {
-    execute_plain(h, &device, 1, true);
+  if (st_.fault_aware()) {
+    execute_resilient(h, {device});
     return;
   }
-  execute_task_resilient(h, device);
-}
-
-void submit_pipeline::execute_task_resilient(op_hooks& h, int device) {
-  resolved_ = h.resolved;
-  if (cancelled()) {
-    return;
-  }
-  const int ndev = st_.plat->device_count();
-  for (int round = 0;; ++round) {
-    if (st_.device_blacklisted(device)) {
-      try {
-        device = st_.reroute_device(device);
-      } catch (const device_lost_error&) {
-        escalate(failure_kind::device_lost, device, round + 1,
-                 "no surviving device to re-route to");
-        return;
-      }
-      ++st_.report.tasks_rerouted;
-    }
-    msi_snapshot snap;
-    snap.capture(op_.deps, op_.n_deps);
-    event_list ready;
-    try {
-      ready = h.acquire(device);
-    } catch (const device_lost_error& e) {
-      // A copy endpoint died mid-acquire: restore *before* quarantining so
-      // evacuation sees the true pre-acquire coherency states.
-      rollback(snap);
-      st_.blacklist_device(e.device);
-      if (round < ndev) {
-        continue;
-      }
-      escalate(failure_kind::device_lost, e.device, round + 1,
-               "device lost during data acquire");
-      return;
-    } catch (const transfer_error& e) {
-      rollback(snap);
-      escalate(failure_kind::link_error, device, round + 1, e.what());
-      return;
-    } catch (const corruption_error& e) {
-      // Checksum mismatch with no valid replica (integrity engine, §10):
-      // escalate — epoch restart when checkpointing is armed, else the
-      // poison placed at detection time stands.
-      rollback(snap);
-      escalate(failure_kind::data_corrupted, e.device, round + 1, e.what());
-      return;
-    } catch (const std::bad_alloc& e) {
-      rollback(snap);
-      escalate(failure_kind::out_of_memory, device, round + 1, e.what());
-      return;
-    }
-    merge_order(ready);
-    resilient_result r;
-    event_list done;
-    try {
-      // Declare the written byte ranges while the submission is in flight
-      // so an armed kernel_output flip corrupts genuine output (§10).
-      output_hint_guard hints(st_, op_.deps, op_.n_deps, h.resolved);
-      h.run(&device, 1, ready, done, &r, nullptr);
-    } catch (const corruption_error& e) {
-      rollback(snap);
-      escalate(failure_kind::data_corrupted, e.device, round + 1, e.what());
-      return;
-    } catch (const std::exception& e) {
-      rollback(snap);
-      hard_failure(failure_kind::submission_exception, device, round + 1,
-                   e.what());
-      throw;
-    }
-    if (r.status == cudasim::sim_status::success) {
-      finish(h, done, &device, 1, true);
-      return;
-    }
-    rollback(snap);
-    const bool lost = r.status == cudasim::sim_status::error_device_lost;
-    if (lost) {
-      st_.blacklist_device(device);
-    }
-    if (lost && !r.partial && round < ndev) {
-      continue;  // re-routed at the top of the loop
-    }
-    if (r.partial) {
-      // The executed prefix still references the instances: its event must
-      // gate their deferred destruction.
-      guard_partial(op_.deps, op_.n_deps, h.resolved,
-                    event_list(std::move(r.ev)));
-    }
-    escalate(kind_of(r.status), device, r.attempts + round,
-             cudasim::status_name(r.status));
-    return;
-  }
+  execute_plain(h, &device, 1, true);
 }
 
 void submit_pipeline::execute_grid(op_hooks& h) {
   if (st_.fault_aware()) {
-    execute_grid_resilient(h);
+    execute_resilient(h, {});
     return;
   }
   const std::vector<int> devices = h.plan();
@@ -593,118 +596,82 @@ void submit_pipeline::execute_grid(op_hooks& h) {
   execute_plain(h, devices.data(), devices.size(), true);
 }
 
-void submit_pipeline::execute_grid_resilient(op_hooks& h) {
+void submit_pipeline::execute_host(op_hooks& h) {
+  const int host_dev = -1;
+  execute_plain(h, &host_dev, 1, false);
+}
+
+void submit_pipeline::execute_resilient(op_hooks& h, std::vector<int> devices) {
   resolved_ = h.resolved;
   if (cancelled()) {
     return;
   }
-  const int max_rounds = st_.plat->device_count() + 1;
-  for (int round = 0; round < max_rounds; ++round) {
-    // plan() restores the originally-requested places, so every retry
-    // re-binds against the current survivors.
-    std::vector<int> devices;
-    try {
+  // A task is a one-device grid that keeps its (re-routed) device across
+  // rounds; a grid re-plans from its requested places every round, so each
+  // retry re-binds against the current survivors.
+  const bool grid = devices.empty();
+  const int ndev = st_.plat->device_count();
+  for (int round = 0;; ++round) {
+    if (grid) {
       devices = h.plan();
-      filter_blacklisted(st_, devices);
+    }
+    const int lead = grid ? -1 : devices.front();
+    bool moved = false;
+    try {
+      moved = filter_blacklisted(st_, devices);
     } catch (const device_lost_error&) {
-      escalate(failure_kind::device_lost, -1, round + 1,
-               "no surviving device to re-route to");
+      fail(make_failure(failure_kind::device_lost, lead, round + 1,
+                        "no surviving device to re-route to"));
       return;
     }
-    if (round > 0) {
+    if (grid ? round > 0 : moved) {
       ++st_.report.tasks_rerouted;
     }
     h.bind(devices);
     msi_snapshot snap;
     snap.capture(op_.deps, op_.n_deps);
-    event_list ready;
-    try {
-      ready = h.acquire(devices.front());
-    } catch (const device_lost_error& e) {
-      rollback(snap);
-      st_.blacklist_device(e.device);
-      continue;
-    } catch (const transfer_error& e) {
-      rollback(snap);
-      escalate(failure_kind::link_error, devices.front(), round + 1, e.what());
-      return;
-    } catch (const corruption_error& e) {
-      rollback(snap);
-      escalate(failure_kind::data_corrupted, e.device, round + 1, e.what());
-      return;
-    } catch (const std::bad_alloc& e) {
-      rollback(snap);
-      escalate(failure_kind::out_of_memory, devices.front(), round + 1,
-               e.what());
-      return;
-    }
-    // Publish the written spans to the fault injector so a scheduled
-    // kernel_output flip lands in real task output (§10).
-    output_hint_guard hints(st_, op_.deps, op_.n_deps, h.resolved);
     event_list done;
     resilient_result bad;
-    int bad_device = -1;
-    h.run(devices.data(), devices.size(), ready, done, &bad, &bad_device);
-    if (bad_device < 0) {
+    try {
+      event_list ready = h.acquire(devices.front());
+      merge_order(ready);
+      // Declare the written byte ranges while the submission is in flight
+      // so an armed kernel_output flip corrupts genuine output (§10).
+      output_hint_guard hints(st_, op_.deps, op_.n_deps, h.resolved);
+      h.run(devices.data(), devices.size(), ready, done, &bad);
+    } catch (...) {
+      // Restore *before* the ladder quarantines a lost device, so its
+      // evacuation sees the true pre-acquire coherency states.
+      rollback(snap);
+      failure f = make_failure(failure_kind::submission_exception,
+                               devices.front(), round + 1, {});
+      f.reroutable = round < ndev;
+      if (fail_in_flight(std::move(f), true) == rung::reroute) {
+        continue;
+      }
+      return;
+    }
+    if (bad.status == cudasim::sim_status::success) {
       finish(h, done, devices.data(), devices.size(), true);
       return;
     }
     // Order anything already submitted (and a partial prefix) before any
     // retry copies and before deferred frees.
-    if (bad.ev) {
+    if (bad.ev && (grid || bad.partial)) {
       done.add(std::move(bad.ev));
     }
     guard_partial(op_.deps, op_.n_deps, h.resolved, done);
     rollback(snap);
-    const bool lost = bad.status == cudasim::sim_status::error_device_lost;
-    if (lost) {
-      st_.blacklist_device(bad_device);
-      if (!bad.partial) {
-        continue;
-      }
+    failure f = make_failure(kind_of(bad.status), bad.device,
+                             bad.attempts + round,
+                             cudasim::status_name(bad.status));
+    f.reroutable = f.kind == failure_kind::device_lost && !bad.partial &&
+                   round < ndev;
+    if (fail(std::move(f)) == rung::reroute) {
+      continue;
     }
-    escalate(kind_of(bad.status), bad_device, bad.attempts + round,
-             cudasim::status_name(bad.status));
     return;
   }
-  escalate(failure_kind::device_lost, -1, max_rounds,
-           "retries exhausted after repeated device losses");
-}
-
-void submit_pipeline::execute_host_task(op_hooks& h) {
-  resolved_ = h.resolved;
-  const bool aware = st_.fault_aware();
-  if (aware && cancelled()) {
-    return;
-  }
-  const int host_dev = -1;
-  event_list done;
-  try {
-    // Host tasks gather their inputs to the host; device-to-host copies
-    // remain allowed even from a failed device (evacuation grace), so a
-    // device loss rarely reaches this acquire.
-    event_list ready = h.acquire(-1);
-    merge_order(ready);
-    h.run(&host_dev, 1, ready, done, nullptr, nullptr);
-    finish(h, done, &host_dev, 1, false);
-  } catch (const device_lost_error& e) {
-    host_failure(aware, failure_kind::device_lost, e.device,
-                 "device lost during host-task acquire");
-  } catch (const transfer_error& e) {
-    host_failure(aware, failure_kind::link_error, -1, e.what());
-  } catch (const corruption_error& e) {
-    host_failure(aware, failure_kind::data_corrupted, e.device, e.what());
-  } catch (const std::bad_alloc& e) {
-    host_failure(aware, failure_kind::out_of_memory, -1, e.what());
-  } catch (const std::exception& e) {
-    plain_failure(failure_kind::submission_exception, -1, e.what());
-    throw;
-  }
-}
-
-void submit_pipeline::execute_host_shard(op_hooks& h) {
-  const int host_dev = -1;
-  execute_plain(h, &host_dev, 1, false);
 }
 
 // --- §11 fast-path eligibility ---
@@ -741,11 +708,18 @@ bool fast_path_ready(const op_desc& op, int device, data_place* resolved) {
   return true;
 }
 
-void fast_submit_failure(context_state& st, const op_desc& op,
-                         failure_kind kind, int device, const char* what) {
+void fast_submit_failure(context_state& st, const op_desc& op, int device,
+                         const std::exception_ptr& err) {
   detail::unpin_deps(op.deps, op.n_deps);
-  detail::fail_task(st, op.deps, op.n_deps, *op.symbol, kind, device, 1,
-                    what);
+  try {
+    std::rethrow_exception(err);
+  } catch (...) {
+    // Not fault-aware (the fast path requires it): poison only.
+    failure f = classify(op_failure(op, device, 1));
+    f.restartable = false;
+    recover(st, std::move(f));
+    throw;
+  }
 }
 
 // --- CUDASTF_DOT_FILE ---

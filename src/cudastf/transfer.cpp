@@ -134,11 +134,9 @@ event_ptr run_transfer_op(context_state& st, int run_dev,
     if (rr.status == cudasim::sim_status::error_device_lost) {
       throw detail::device_lost_error(run_dev);
     }
-    if (rr.partial || !cudasim::status_transient(rr.status) ||
-        attempt >= st.retry.max_attempts) {
+    if (!detail::retry_refused(st, rr, attempt, run_dev, "transfer")) {
       throw detail::transfer_error(rr.status);
     }
-    ++st.report.tasks_retried;
     const double b = backoff;
     backoff *= st.retry.backoff_multiplier;
     cudasim::platform* plat = st.plat;
