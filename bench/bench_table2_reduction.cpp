@@ -82,20 +82,6 @@ double run_cub_baseline() {
   return t;
 }
 
-/// Applies the ablation: planner fully on (defaults) or fully off — the
-/// pre-planner behavior (protocol-order source, star fan-out from the one
-/// valid copy, monolithic copies, no coalescing, host-staged eviction).
-void configure_planner(context& ctx, bool on) {
-  transfer_config& cfg = ctx.transfer_options();
-  if (!on) {
-    cfg.route_by_cost = false;
-    cfg.broadcast_tree = false;
-    cfg.coalesce = false;
-    cfg.peer_eviction = false;
-    cfg.chunk_bytes = 0;
-  }
-}
-
 /// Broadcast-heavy reduction: X is produced on device 0 only, then every
 /// device reads ALL of X (a 1-to-ndev broadcast of 2 GiB) and reduces its
 /// 1/ndev index range into a private partial; device 0 combines the
@@ -109,11 +95,12 @@ double run_broadcast_reduction(int ndev, bool planner_on, std::size_t count,
   plat.set_copy_payloads(payloads);
   context ctx(plat);
   ctx.set_compute_payloads(payloads);
-  configure_planner(ctx, planner_on);
+  // Off is the pre-planner behavior (see transfer_config::planner).
+  ctx.transfer_options().planner = planner_on;
   if (payloads) {
     // Numerics mode at reduced scale: force chunking so the bitwise check
     // actually covers the chunked data path.
-    ctx.transfer_options().chunk_bytes = planner_on ? 4096 : 0;
+    ctx.transfer_options().chunk_bytes = 4096;
   }
 
   auto lX = ctx.logical_data<double, 1>(box<1>(count), "X");

@@ -5,8 +5,8 @@
 #                                  [--chaos] [build-dir]
 #
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
-# the fault-injection, checkpoint and eviction tests under it — the error
-# and recovery paths are where lifetime bugs would hide.
+# the fault-injection, checkpoint, eviction and transfer tests under it —
+# the error and recovery paths are where lifetime bugs would hide.
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
 # the parallel-submission, fast-path and fault-injection tests under it —
@@ -16,9 +16,11 @@
 # --bench-smoke additionally runs every --json benchmark once and diffs the
 # set of JSON record keys against the checked-in BENCH_*.json baselines —
 # a renamed or dropped counter fails fast, without pinning the (noisy)
-# values themselves. bench_chaos reports simulated values only, so its
-# output must match BENCH_chaos.json byte for byte: any change to what
-# the recovery ladder does under its fault sweeps fails the run.
+# values themselves. bench_chaos, bench_table2_reduction and
+# bench_fig3_oom_cholesky report simulated values only, so their output
+# must match BENCH_chaos.json, BENCH_table2.json and BENCH_fig3.json byte
+# for byte: any change to what the recovery ladder does under its fault
+# sweeps, to the transfer-planner ablation or to eviction fails the run.
 #
 # --chaos additionally runs a seeded fault-injection soak: the checkpoint,
 # fault-injection and integrity (silent-corruption) suites loop over
@@ -81,7 +83,7 @@ if [[ "$bench_smoke" == 1 ]]; then
     out="$smoke_dir/$bench.json"
     echo "bench-smoke: $bench"
     "$build/bench/$bench" --json > "$out"
-    if [[ "$bench" == bench_chaos ]]; then
+    if [[ "$bench" != bench_table1_task_overhead ]]; then
       if ! diff "$baseline" "$out" > "$smoke_dir/$bench.diff"; then
         echo "bench-smoke: $bench output differs from ${pair##*:}:" >&2
         cat "$smoke_dir/$bench.diff" >&2
@@ -95,7 +97,8 @@ if [[ "$bench_smoke" == 1 ]]; then
   done
   [[ "$status" == 0 ]] || exit "$status"
   echo "bench-smoke: all benchmark JSON schemas match their baselines" \
-       "(bench_chaos byte for byte)"
+       "(bench_chaos, bench_table2_reduction, bench_fig3_oom_cholesky" \
+       "byte for byte)"
 
   # Task-overhead guard (Table I): the submission pipeline must not slow
   # the per-task cost. Compare the aggregate mean_us_per_task of this run
@@ -157,7 +160,7 @@ if [[ "$sanitize" == 1 ]]; then
   cmake --build "$asan_build" -j "$jobs" \
     --target test_fault_injection test_eviction test_checkpoint \
              test_mem_engine test_integrity test_deadline \
-             test_submit_pipeline test_recovery_ladder
+             test_submit_pipeline test_recovery_ladder test_transfer
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_fault_injection"
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
@@ -181,6 +184,10 @@ if [[ "$sanitize" == 1 ]]; then
   # without checkpointing (DESIGN.md §5).
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_recovery_ladder"
+  # Chunked, chained and coalesced copies write through raw segment offsets
+  # into instance buffers (DESIGN.md §6).
+  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+    "$asan_build/tests/test_transfer"
 fi
 
 if [[ "$tsan" == 1 ]]; then

@@ -299,14 +299,6 @@ class platform {
   /// Drops handle pointers to completed nodes so drain() can reclaim them,
   /// then marks the retired set collected (see timeline::mark_collected()).
   void collect_handles();
-  /// Bandwidth of host-to-host staging copies (checkpoint snapshots of
-  /// host-resident data, eviction staging). Configurable so checkpoint
-  /// overhead studies can model slow staging buffers in virtual time.
-  double host_memcpy_bw() const { return host_memcpy_bw_; }
-  void set_host_memcpy_bw(double bytes_per_second) {
-    host_memcpy_bw_ = bytes_per_second;
-  }
-
   /// Accounts one submission with the injector (if armed) and returns the
   /// injected status. Must be called with the platform mutex held; shared
   /// by the stream submission paths and graph_exec::launch.
@@ -359,7 +351,6 @@ class platform {
   std::atomic<int> current_{0};
   bool copy_payloads_ = true;
   bool kernel_payloads_ = true;
-  double host_memcpy_bw_ = 50.0e9;
   std::unordered_set<stream*> streams_;
   std::array<event_shard, event_shard_count> event_shards_;
   std::shared_ptr<fault_injector> injector_;

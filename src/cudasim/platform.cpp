@@ -65,6 +65,11 @@ void flip_payload_byte(void* p, std::size_t len, std::uint64_t seed) {
 
 namespace {
 
+/// Bandwidth of host-to-host staging copies (checkpoint snapshots of
+/// host-resident data, eviction staging): a DDR memcpy, well above any host
+/// link, so staging never dominates a copy that crosses one.
+constexpr double host_memcpy_bw = 50.0e9;
+
 /// Deterministic corruption victim among a device's live allocations:
 /// ordered by allocation sequence so the pick never depends on hash-map
 /// iteration order or pointer values.
@@ -205,7 +210,7 @@ platform::copy_plan platform::plan_copy(int devidx, std::size_t n,
       break;
     case memcpy_kind::host_to_host:
       eng = &host_engine_;
-      bw = host_memcpy_bw();
+      bw = host_memcpy_bw;
       break;
   }
   return {eng, dev.desc().copy_latency + static_cast<double>(n) / bw};

@@ -46,7 +46,8 @@ void set_tail(cudasim::stream& s, cudasim::graph_node n) {
 
 }  // namespace
 
-graph_backend::graph_backend(cudasim::platform& p) : plat_(&p) {
+graph_backend::graph_backend(cudasim::platform& p, const retry_policy& retry)
+    : plat_(&p), retry_(retry) {
   epoch_stream_ = std::make_unique<cudasim::stream>(p, 0);
   host_capture_ = std::make_unique<cudasim::stream>(p, 0);
   for (int d = 0; d < p.device_count(); ++d) {
@@ -177,9 +178,9 @@ void graph_backend::flush() {
     exec = bucket.back().exec.get();
     ++stats_.graph_instantiations;
     ++cache_size_;
-    // The new entry carries the max tick, so with cap >= 1 it is never the
-    // victim of its own insertion.
-    while (cache_size_ > cache_cap_) {
+    // The new entry carries the max tick, so it is never the victim of its
+    // own insertion.
+    if (cache_size_ > cache_cap) {
       evict_lru();
     }
   }
@@ -284,14 +285,6 @@ void graph_backend::evict_lru() {
   }
   --cache_size_;
   ++stats_.graph_execs_evicted;
-}
-
-void graph_backend::set_exec_cache_capacity(std::size_t n) {
-  cache_cap_ = n < 1 ? 1 : n;  // an uncacheable backend would re-instantiate
-                               // every epoch; keep at least the live one
-  while (cache_size_ > cache_cap_) {
-    evict_lru();
-  }
 }
 
 void graph_backend::fence() { flush(); }

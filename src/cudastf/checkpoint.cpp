@@ -43,9 +43,7 @@ namespace cudastf {
 
 checkpoint_manager::checkpoint_manager(context_state& st,
                                        checkpoint_options opts)
-    : st_(&st), opts_(opts) {
-  last_checkpoint_time_ = st.plat != nullptr ? st.plat->now() : 0.0;
-}
+    : st_(&st), opts_(opts) {}
 
 checkpoint_manager::~checkpoint_manager() {
   // Snapshot copies still in flight target our staging buffers; drain them
@@ -103,12 +101,8 @@ void checkpoint_manager::record(
   if (replaying_ || suppressed_) {
     return;  // replayed / deadline-resubmitted tasks are already in the log
   }
-  const bool by_tasks =
-      opts_.every_n_tasks > 0 && tasks_since_ >= opts_.every_n_tasks;
-  const bool by_time =
-      opts_.every_seconds > 0.0 && st_->plat != nullptr &&
-      st_->plat->now() - last_checkpoint_time_ >= opts_.every_seconds;
-  if ((by_tasks || by_time) && !log_.empty()) {
+  if (opts_.every_n_tasks > 0 && tasks_since_ >= opts_.every_n_tasks &&
+      !log_.empty()) {
     take_checkpoint();  // a refused attempt just retries at the next trigger
   }
   log_.push_back(std::move(replay));
@@ -249,9 +243,6 @@ bool checkpoint_manager::take_checkpoint() {
   log_.clear();
   log_touched_.clear();
   tasks_since_ = 0;
-  if (st_->plat != nullptr) {
-    last_checkpoint_time_ = st_->plat->now();
-  }
   ++epoch_;
   ++bs.checkpoints_taken;
   bs.checkpoint_bytes += bytes_staged;

@@ -91,8 +91,8 @@ struct backend_stats {
   /// Whole-epoch graph launches that were refused by a transient fault and
   /// relaunched in place (a refused launch enqueues none of its nodes).
   std::uint64_t graph_launch_retries = 0;
-  /// Memoized executables destroyed by the graph-exec cache's LRU cap
-  /// (ctx.set_graph_cache_capacity()).
+  /// Memoized executables destroyed by the graph-exec cache's LRU cap of
+  /// 64 executables.
   std::uint64_t graph_execs_evicted = 0;
 
   // --- integrity engine (DESIGN.md §10) ---
@@ -190,14 +190,6 @@ class backend_iface {
   /// it to engage per-stream locking and thread striping. Default: ignore.
   virtual void set_concurrent(bool) {}
 
-  /// Propagates the context's retry policy (ctx.set_retry_policy()); the
-  /// graph backend applies it to refused epoch relaunches. Default: ignore.
-  virtual void set_retry_policy(const retry_policy&) {}
-
-  /// Caps the backend's memoized-executable cache (graph backend; evicts
-  /// down immediately, least recently launched first). Default: ignore.
-  virtual void set_exec_cache_capacity(std::size_t) {}
-
   /// Aggregated counter snapshot. The two hot-path counters (`tasks`,
   /// `deps_wired`) accumulate in per-thread cells and are summed into the
   /// snapshot here; everything else increments under the exclusive gate and
@@ -290,7 +282,9 @@ class stream_backend final : public backend_iface {
 /// (cheap) or instantiates a new one (expensive), then launches it.
 class graph_backend final : public backend_iface {
  public:
-  explicit graph_backend(cudasim::platform& p);
+  /// `retry` is the owning context's policy (ctx.set_retry_policy()); it
+  /// governs refused-epoch relaunches and must outlive the backend.
+  graph_backend(cudasim::platform& p, const retry_policy& retry);
 
   cudasim::platform& plat() override { return *plat_; }
   event_ptr run(int device, channel ch, const event_list& deps,
@@ -310,9 +304,6 @@ class graph_backend final : public backend_iface {
   /// serializes capturers; parallel_submit() on a graph context is then
   /// correct (and with deterministic order, bit-identical) but not faster.
   bool concurrent_safe() const override { return false; }
-
-  void set_retry_policy(const retry_policy& p) override { retry_ = p; }
-  void set_exec_cache_capacity(std::size_t n) override;
 
  private:
   /// One pass over a dependency list: whether it mentions graph nodes at
@@ -344,7 +335,7 @@ class graph_backend final : public backend_iface {
   std::uint64_t summary_ = 1469598103934665603ull;  ///< FNV accumulator
   event_list external_deps_;  ///< real-stream events the epoch launch waits on
   /// Memoization cache: summary hash -> executables with that summary, each
-  /// stamped with a launch tick for LRU eviction at cache_cap_. Evicting a
+  /// stamped with a launch tick for LRU eviction at cache_cap. Evicting a
   /// launched executable is safe: graph_exec::launch copies node bodies
   /// into the DES, so in-flight epochs never reference the exec again.
   struct cached_exec {
@@ -352,13 +343,15 @@ class graph_backend final : public backend_iface {
     std::uint64_t last_use = 0;
   };
   std::unordered_map<std::uint64_t, std::vector<cached_exec>> cache_;
+  /// Bounds the memory of retained executables; a steady-state loop
+  /// cycles through far fewer epoch shapes than this.
+  static constexpr std::size_t cache_cap = 64;
   std::size_t cache_size_ = 0;   ///< total executables across all buckets
-  std::size_t cache_cap_ = 64;   ///< LRU cap (set_exec_cache_capacity)
   std::uint64_t lru_tick_ = 0;   ///< monotonic launch clock
   /// Destroys the least recently launched executable (releases its pooled
   /// nodes) and counts it in graph_execs_evicted.
   void evict_lru();
-  retry_policy retry_;  ///< governs refused-epoch relaunch attempts/backoff
+  const retry_policy& retry_;  ///< refused-epoch relaunch attempts/backoff
   std::shared_ptr<backend_event> last_epoch_done_;  ///< stream_event of last flush
 };
 

@@ -35,10 +35,6 @@ struct checkpoint_options {
   /// Take a checkpoint automatically after this many recorded submissions
   /// (0 = only explicit ctx.checkpoint() calls).
   std::uint64_t every_n_tasks = 0;
-  /// Take a checkpoint automatically when this much virtual time elapsed
-  /// since the last one (0 = disabled). Virtual time advances at simulator
-  /// drain points, so this is a coarse trigger.
-  double every_seconds = 0.0;
   /// Upper bound on epoch restarts for one context — a fault storm beyond
   /// this falls back to poison-and-cancel instead of looping forever.
   int max_restarts = 8;
@@ -161,7 +157,6 @@ class checkpoint_manager {
   /// not-yet-replayed log entries touching it.
   std::unordered_map<const logical_data_impl*, std::size_t> future_uses_;
   std::uint64_t tasks_since_ = 0;
-  double last_checkpoint_time_ = 0.0;
   std::uint64_t epoch_ = 0;
   int restarts_ = 0;
   bool replaying_ = false;

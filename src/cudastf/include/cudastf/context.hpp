@@ -42,7 +42,7 @@ class context {
   static context graph() { return graph(cudasim::default_platform()); }
   static context graph(cudasim::platform& p) {
     context c(p);
-    c.st_->backend = std::make_unique<graph_backend>(p);
+    c.st_->backend = std::make_unique<graph_backend>(p, c.st_->retry);
     return c;
   }
 
@@ -282,7 +282,6 @@ class context {
     detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->retry = p;
-    st_->backend->set_retry_policy(p);
   }
 
   /// The failures and recovery counters accumulated so far.
@@ -321,13 +320,6 @@ class context {
     st_->ensure_dl().limits = lim;
   }
 
-  /// Hang strikes a device survives before quarantine (default 2).
-  void set_quarantine_after(int strikes) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
-    st_->ensure_dl().quarantine_after = strikes;
-  }
-
   /// The deadline monitor, or nullptr while hang recovery is disarmed
   /// (introspection).
   const deadline_monitor* hang_recovery() const { return st_->dl.get(); }
@@ -352,14 +344,6 @@ class context {
     }
   }
 
-  /// Drops the checkpoint manager (snapshots, submission log, restart
-  /// budget). Outstanding snapshot copies are drained first.
-  void disable_checkpointing() {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
-    st_->ckpt.reset();
-  }
-
   /// Takes an explicit epoch checkpoint now (see checkpoint_manager::
   /// take_checkpoint). Returns false when checkpointing is disabled or the
   /// attempt was aborted by a refused snapshot copy.
@@ -374,11 +358,11 @@ class context {
 
   // --- end-to-end data integrity (DESIGN.md §10) ---
 
-  /// Arms the integrity engine and returns its knobs (content checksums at
-  /// trust boundaries, replica repair, dual-execution voting). The first
-  /// call creates the engine and adopts already-registered data: settled
-  /// host contents become the trusted reference, closing the
-  /// trust-on-first-use window. Never calling this leaves every hook at a
+  /// Arms the integrity engine (content checksums at trust boundaries,
+  /// replica repair) and returns its setting (dual-execution voting for
+  /// every task). The first call creates the engine and adopts
+  /// already-registered data: settled host contents become the trusted
+  /// reference, closing the trust-on-first-use window. Never calling this leaves every hook at a
   /// single null-pointer check — the disarmed fast path is untouched.
   integrity_config& integrity_options() {
     detail::gate_exclusive xg(st_->gate, mt());
@@ -472,33 +456,16 @@ class context {
 
   // --- configuration & introspection ---
 
-  /// Caps the graph backend's memoized-executable cache (least recently
-  /// launched epochs are destroyed first, counted in stats().
-  /// graph_execs_evicted). No-op on the stream backend.
-  void set_graph_cache_capacity(std::size_t n) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
-    st_->backend->set_exec_cache_capacity(n);
-  }
-
   /// When disabled, kernel bodies are skipped: virtual-time benchmarking at
   /// paper scale without host-side numerics (see DESIGN.md §1). The switch
   /// lives on the platform, so it covers every kernel a body launches.
   void set_compute_payloads(bool on) { st_->plat->set_kernel_payloads(on); }
 
-  /// Transfer-planner knobs (DESIGN.md §6): min-cost routing, broadcast
-  /// trees, chunking threshold, in-flight coalescing, peer eviction
-  /// staging. Each mechanism toggles independently for ablation; mutate
-  /// before submitting the work it should affect.
+  /// Transfer-planner settings (DESIGN.md §6): the planner switch for the
+  /// Table II ablation and the chunking threshold; mutate before
+  /// submitting the work they should affect.
   transfer_config& transfer_options() { return st_->xfer; }
   const transfer_config& transfer_options() const { return st_->xfer; }
-
-  /// Memory-engine knobs (DESIGN.md §9): caching suballocator, lookahead
-  /// victim scoring, eviction batching, prefetch-back. Each mechanism
-  /// toggles independently for ablation; with all of them off the
-  /// allocator behaves exactly like the pre-engine LRU evictor.
-  mem_config& memory_options() { return st_->mem.cfg; }
-  const mem_config& memory_options() const { return st_->mem.cfg; }
 
   cudasim::platform& platform() { return *st_->plat; }
   const backend_stats& stats() const { return st_->backend->stats(); }

@@ -109,7 +109,7 @@ struct context_state {
   // --- memory engine (mem_engine.cpp, DESIGN.md §9) ---
 
   /// Caching suballocator, resident-instance victim index and prefetch
-  /// queue; configured via ctx.memory_options().
+  /// queue.
   mem_engine mem;
 
   /// Allocates a device instance buffer: recycles a cached block when one
@@ -119,19 +119,15 @@ struct context_state {
   /// throws oom_error (derives std::bad_alloc) if nothing can be evicted.
   void* alloc_with_eviction(int device, std::size_t bytes, event_list& out);
 
-  /// One OOM round: evicts up to mem.cfg.evict_batch unpinned resident
-  /// instances from `device` (more if needed to cover `bytes_needed`),
-  /// staging modified victims first. False when nothing was evictable.
+  /// One OOM round: evicts a batch of two unpinned resident instances
+  /// from `device` (more if needed to cover `bytes_needed`), staging
+  /// modified victims first. False when nothing was evictable.
   bool evict_for(int device, std::size_t bytes_needed);
 
   // --- transfer planner (transfer.cpp, DESIGN.md §6) ---
 
-  /// Planner configuration; every mechanism individually toggleable
-  /// (ctx.transfer_options()).
+  /// Planner configuration (ctx.transfer_options()).
   transfer_config xfer;
-
-  /// One record per planned transfer while xfer.trace is set.
-  std::vector<transfer_record> xfer_trace;
 
   /// Outbound copies the planner has issued and believes may still be in
   /// flight; pruned lazily against event completion. The routing score uses

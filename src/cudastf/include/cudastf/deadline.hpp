@@ -6,7 +6,7 @@
 // (ctx.task(...).deadline(s), ctx.set_default_deadline(s)); when a deadline
 // expires the monitor cooperatively cancels the wedged DES operation
 // (timeline::cancel tears it out of its engine and fires its successors),
-// quarantines a device that keeps hanging (>= quarantine_after strikes),
+// quarantines a device that keeps hanging (a second strike),
 // and hands the hang to the recovery ladder (DESIGN.md §5): retry in place
 // when the task's outputs are unread and its inputs unchanged, else epoch
 // restart, else poison-cancel with a cause chain naming the deadline and
@@ -106,7 +106,7 @@ class deadline_monitor {
   /// Hang strikes on one device before it is quarantined (blacklisted and
   /// re-routed around) — one wedged op may be bad luck, a pattern is a bad
   /// device.
-  int quarantine_after = 2;
+  static constexpr int quarantine_after = 2;
 
   /// The effective relative deadline for a submission that asked for
   /// `requested` (0 = didn't ask).

@@ -20,13 +20,13 @@
 
 namespace cudastf {
 
-/// Tuning knobs for the event-list fast path. Process-global; tests and the
-/// ablation benches flip these to compare against the naive concatenating
-/// behavior (simulated timelines must be identical either way).
+/// Event-list pruning switch. Process-global; the timeline-identity tests
+/// turn it off as their reference, the naive concatenating behavior
+/// (simulated timelines must be identical either way).
 struct fastpath_config {
-  bool dedup = true;            ///< drop exact duplicate events on merge
-  bool prune_completed = true;  ///< drop events the timeline already retired
-  bool prune_dominated = true;  ///< same-stream later-event dominance (§IV)
+  /// Drop exact duplicates, events the timeline already retired, and
+  /// events dominated by a later one on the same in-order stream (§IV).
+  bool prune = true;
 };
 
 inline fastpath_config& fastpath() {
@@ -102,15 +102,15 @@ class event_list {
     if (!e) {
       return 0;
     }
-    const fastpath_config& cfg = fastpath();
-    if (cfg.prune_completed && e->completed()) {
-      return 1;
-    }
-    const std::uint64_t lane = cfg.prune_dominated ? e->lane() : 0;
-    if (cfg.dedup || lane != 0) {
+    const bool prune = fastpath().prune;
+    if (prune) {
+      if (e->completed()) {
+        return 1;
+      }
+      const std::uint64_t lane = e->lane();
       for (std::size_t i = 0; i < size_; ++i) {
         event_ptr& cur = data_[i];
-        if (cfg.dedup && cur == e) {
+        if (cur == e) {
           return 1;
         }
         if (lane != 0 && cur->lane() == lane) {
@@ -126,7 +126,7 @@ class event_list {
       // Before spilling to the heap, try to compact away entries whose work
       // has since completed — lists usually stay within the inline buffer.
       std::size_t pruned = 0;
-      if (cfg.prune_completed) {
+      if (prune) {
         pruned = prune_completed_entries();
       }
       if (size_ == cap_) {

@@ -32,16 +32,11 @@ namespace cudastf {
 
 struct context_state;
 
-/// Integrity knobs (ctx.integrity_options()). The engine only exists — and
-/// the submission paths only pay more than a null check — once that
-/// accessor has been called.
+/// Integrity setting (ctx.integrity_options()). Checksums at every trust
+/// boundary and replica repair are always on while the engine exists. The
+/// engine only exists — and the submission paths only pay more than a null
+/// check — once that accessor has been called.
 struct integrity_config {
-  /// Compute reference checksums at write-release and verify instance
-  /// bytes at every trust boundary.
-  bool checksums = true;
-  /// On a mismatch, invalidate the corrupt replica and re-source from
-  /// another verified sharer before escalating.
-  bool repair = true;
   /// Dual-execute every task, not just those marked .verified(): run
   /// twice, accept only when both executions agree on the bytes of every
   /// written dependency (majority vote with a third run on disagreement).
@@ -53,7 +48,7 @@ std::uint64_t integrity_checksum(const void* p, std::size_t n);
 
 class integrity_engine {
  public:
-  /// Knobs; safe to mutate between submissions under the context lock.
+  /// Safe to mutate between submissions under the context lock.
   integrity_config cfg;
 
   /// Write-release hook (data.cpp): schedules an asynchronous checksum of

@@ -33,54 +33,6 @@ struct context_state;
 class logical_data_impl;
 struct data_instance;
 
-/// Memory-engine configuration, per context (ctx.memory_options()). Every
-/// mechanism is independently toggleable; with all three off the allocator
-/// is behaviorally identical to the pre-engine code (the resident index
-/// still replaces the registry scan, but picks the same LRU victims).
-struct mem_config {
-  /// (1) Caching suballocator: freed device blocks are parked in binned
-  /// free lists and recycled without a platform round-trip.
-  bool cache = true;
-  /// (2) Lookahead-aware victim selection: prefer clean instances (free to
-  /// drop, no write-back) and instances without pending uses over pure LRU.
-  bool lookahead = true;
-  /// (3) Prefetch-back: evicted instances are re-filled through the
-  /// transfer engine when capacity reappears, overlapping compute.
-  bool prefetch = true;
-  /// Victims evicted per OOM round; >1 amortizes the victim scan and
-  /// leaves recycled blocks ready for the allocations that follow.
-  std::size_t evict_batch = 2;
-  /// Victim-score penalty (LRU-clock ticks) for a modified instance whose
-  /// eviction costs a write-back.
-  std::uint64_t dirty_penalty = 256;
-  /// Penalty for an instance with uncompleted reader/writer events — its
-  /// recycled block would stall the next consumer on those events.
-  std::uint64_t pending_penalty = 64;
-  /// Scan resistance (LRU-2 flavored): an instance whose reuse interval
-  /// (last_use - prev_use, in acquire ticks) exceeds this is classed as
-  /// streaming — touched once per sweep of a working set too big to cache —
-  /// and streaming victims are evicted most-recent-first, which keeps a
-  /// stable resident prefix under a cyclic sweep instead of LRU's
-  /// every-access-misses thrash. Short-interval (hot) instances are only
-  /// evicted when no streaming victim exists. 0 disables (pure LRU base).
-  std::uint64_t scan_threshold = 768;
-  /// Young guard on the streaming class: a victim acquired within the last
-  /// scan_guard ticks has its producing kernels still in flight, so its
-  /// write-back — and the allocation recycling its block — would chain
-  /// behind the newest compute. Such victims are deferred behind older
-  /// streaming ones, trading a few extra misses for a shallow dependency
-  /// pipeline. 0 disables the guard.
-  std::uint64_t scan_guard = 192;
-  /// Penalty for data a not-yet-replayed submission-log entry touches
-  /// (only meaningful during a checkpoint epoch replay, when the log *is*
-  /// the future).
-  std::uint64_t future_penalty = 1024;
-  /// Prefetch-back fills issued per allocator visit.
-  std::size_t prefetch_max_inflight = 2;
-  /// Bound on remembered eviction victims awaiting prefetch-back.
-  std::size_t prefetch_queue_cap = 512;
-};
-
 /// Rounds `bytes` up to its allocation size class: 3 significant mantissa
 /// bits (jemalloc-style ≤12.5% spacing), 256-byte floor. Blocks are binned
 /// under the class of their actual size, so recycling a block never wastes
@@ -91,8 +43,6 @@ std::size_t mem_size_class(std::size_t bytes);
 /// submission lock.
 class mem_engine {
  public:
-  mem_config cfg;
-
   /// One entry of a per-device resident-instance index: an allocated,
   /// evictable-in-principle device instance and its owning logical data.
   struct resident_ref {
@@ -177,9 +127,9 @@ void* alloc_host_staging(context_state& st, std::size_t bytes);
 
 /// Frees a device instance's backing through the engine: removes it from
 /// the resident index, carries its readers/writer as the block's
-/// dependencies, and either parks the block for recycling (`recycle`, with
-/// the cache enabled and the device healthy) or issues the asynchronous
-/// platform free. Leaves the instance invalid and unallocated.
+/// dependencies, and either parks the block for recycling (`recycle` on a
+/// healthy device) or issues the asynchronous platform free. Leaves the
+/// instance invalid and unallocated.
 void release_device_instance(context_state& st, logical_data_impl& d,
                              data_instance& inst, bool recycle);
 

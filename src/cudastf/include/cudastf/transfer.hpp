@@ -5,8 +5,8 @@
 // copy-engine occupancy and broadcast depth), whether a multi-consumer read
 // fans out as a tree instead of serializing on one source, whether a large
 // transfer is split into pipelined chunks, and whether a duplicate request
-// can join a fill that is already in flight. Every mechanism is
-// independently toggleable for ablation.
+// can join a fill that is already in flight. One switch turns the whole
+// planner off for ablation.
 #pragma once
 
 #include <cstddef>
@@ -23,36 +23,14 @@ struct data_instance;
 
 /// Planner configuration, per context (ctx.transfer_options()).
 struct transfer_config {
-  /// (a) Min-cost source selection: score every valid instance by link
-  /// bandwidth, outbound-copy occupancy and broadcast depth instead of
-  /// taking the protocol's first hit.
-  bool route_by_cost = true;
-  /// (b) Broadcast trees: instances whose own fill is still in flight are
-  /// admissible sources, so a wide read fans out across several links.
-  bool broadcast_tree = true;
-  /// (d) A second request for the same (data, place, contents version)
-  /// joins the pending fill instead of issuing a duplicate copy.
-  bool coalesce = true;
-  /// Eviction staging may target a peer device with pool headroom instead
-  /// of the host round-trip.
-  bool peer_eviction = true;
-  /// (c) Copies larger than this split into pipelined chunks; 0 disables
-  /// chunking.
+  /// Min-cost source routing, broadcast trees, in-flight coalescing,
+  /// peer-staged eviction and chunking. Off is the pre-planner behaviour the
+  /// Table II ablation measures against: protocol-order source, no trees,
+  /// no coalescing, host-staged eviction and monolithic copies.
+  bool planner = true;
+  /// With the planner on, copies larger than this split into pipelined
+  /// chunks (at most 8 per transfer, which keeps event lists small).
   std::size_t chunk_bytes = 64ull << 20;
-  /// Upper bound on the chunks of one transfer (keeps event lists small).
-  std::size_t max_chunks = 8;
-  /// Appends a transfer_record per planned transfer to
-  /// context_state::xfer_trace (tests / debugging).
-  bool trace = false;
-};
-
-/// One planned transfer, recorded when transfer_config::trace is set.
-struct transfer_record {
-  int src_device = -2;  ///< source device; -1 = host, -2 = coalesced (none)
-  int dst_device = -1;  ///< destination device; -1 = host
-  std::size_t bytes = 0;
-  std::size_t chunks = 1;  ///< 0 for a coalesced hit
-  bool coalesced = false;
 };
 
 /// Makes `dst` a valid copy of the logical data: coalesces onto an
@@ -65,7 +43,7 @@ bool request_transfer(context_state& st, logical_data_impl& d,
 
 /// The planner's source choice for filling `dst`: the cheapest valid
 /// instance under the routing score, or pick_valid_source() order when
-/// routing is disabled / no scored candidate survives. nullptr when no
+/// the planner is off / no scored candidate survives. nullptr when no
 /// valid copy exists at all.
 data_instance* pick_transfer_source(context_state& st, logical_data_impl& d,
                                     const data_instance& dst);

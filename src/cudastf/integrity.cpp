@@ -63,7 +63,7 @@ void integrity_engine::on_write_release(context_state& st,
                                         logical_data_impl& d,
                                         data_instance& inst,
                                         const event_list& done) {
-  if (!cfg.checksums || !armed_for(st, d)) {
+  if (!armed_for(st, d)) {
     return;
   }
   if (!inst.allocated || inst.ptr == nullptr) {
@@ -106,7 +106,7 @@ void integrity_engine::on_write_release(context_state& st,
 bool integrity_engine::verify_instance(context_state& st, logical_data_impl& d,
                                        data_instance& inst, const char* site) {
   (void)site;
-  if (!cfg.checksums || !armed_for(st, d)) {
+  if (!armed_for(st, d)) {
     return true;
   }
   if (!inst.allocated || inst.ptr == nullptr ||
@@ -143,9 +143,6 @@ bool integrity_engine::handle_corruption(context_state& st,
                                          data_instance& inst,
                                          const char* site) {
   invalidate_replica(inst);
-  if (!cfg.repair) {
-    return false;
-  }
   for (const auto& up : d.instances()) {
     data_instance& cand = *up;
     if (&cand == &inst || !cand.allocated ||
@@ -164,8 +161,7 @@ bool integrity_engine::handle_corruption(context_state& st,
 void integrity_engine::verify_on_acquire(context_state& st,
                                          logical_data_impl& d,
                                          data_instance& inst) {
-  if (!cfg.checksums || !armed_for(st, d) ||
-      inst.state == msi_state::invalid) {
+  if (!armed_for(st, d) || inst.state == msi_state::invalid) {
     return;  // never-written rw acquire: nothing to trust yet
   }
   const char* site = "task_acquire";
@@ -189,7 +185,7 @@ void integrity_engine::verify_on_acquire(context_state& st,
 }
 
 void integrity_engine::adopt(context_state& st, logical_data_impl& d) {
-  if (!cfg.checksums || !armed_for(st, d) || d.integ != nullptr) {
+  if (!armed_for(st, d) || d.integ != nullptr) {
     return;
   }
   data_instance* host = d.find_instance(data_place::host());
@@ -207,9 +203,6 @@ void integrity_engine::adopt(context_state& st, logical_data_impl& d) {
 
 std::size_t integrity_engine::scrub(context_state& st) {
   ++st.backend->mutable_stats().scrub_passes;
-  if (!cfg.checksums) {
-    return 0;
-  }
   std::size_t found = 0;
   // Snapshot the registry: an escalation below can restart the epoch,
   // which replays tasks and grows the registry mid-iteration.

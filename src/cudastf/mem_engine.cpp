@@ -9,7 +9,6 @@
 // path and is atomic for that reason.
 #include "cudastf/mem_engine.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <new>
@@ -22,6 +21,45 @@
 #include "cudastf/transfer.hpp"
 
 namespace cudastf {
+
+namespace {
+
+// Fixed engine constants (DESIGN.md §4c lists the reason for each value).
+
+/// Victims evicted per OOM round; >1 amortizes the victim scan and leaves
+/// recycled blocks ready for the allocations that follow.
+constexpr std::size_t evict_batch = 2;
+/// Victim-score penalty (LRU-clock ticks) for a modified instance whose
+/// eviction costs a write-back.
+constexpr std::uint64_t dirty_penalty = 256;
+/// Penalty for an instance with uncompleted reader/writer events — its
+/// recycled block would stall the next consumer on those events.
+constexpr std::uint64_t pending_penalty = 64;
+/// Scan resistance (LRU-2 flavored): an instance whose reuse interval
+/// (last_use - prev_use, in acquire ticks) exceeds this is classed as
+/// streaming — touched once per sweep of a working set too big to cache —
+/// and streaming victims are evicted most-recent-first, which keeps a
+/// stable resident prefix under a cyclic sweep instead of LRU's
+/// every-access-misses thrash. Short-interval (hot) instances are only
+/// evicted when no streaming victim exists.
+constexpr std::uint64_t scan_threshold = 768;
+/// Young guard on the streaming class: a victim acquired within the last
+/// scan_guard ticks has its producing kernels still in flight, so its
+/// write-back — and the allocation recycling its block — would chain
+/// behind the newest compute. Such victims are deferred behind older
+/// streaming ones, trading a few extra misses for a shallow dependency
+/// pipeline.
+constexpr std::uint64_t scan_guard = 192;
+/// Penalty for data a not-yet-replayed submission-log entry touches (only
+/// meaningful during a checkpoint epoch replay, when the log *is* the
+/// future).
+constexpr std::uint64_t future_penalty = 1024;
+/// Prefetch-back fills issued per allocator visit.
+constexpr std::size_t prefetch_max_inflight = 2;
+/// Bound on remembered eviction victims awaiting prefetch-back.
+constexpr std::size_t prefetch_queue_cap = 512;
+
+}  // namespace
 
 std::size_t mem_size_class(std::size_t bytes) {
   if (bytes <= 256) {
@@ -42,9 +80,6 @@ mem_engine::device_mem& mem_engine::dev(int device) {
 
 void* mem_engine::take_cached(context_state& st, int device, std::size_t bytes,
                               event_list& out) {
-  if (!cfg.cache) {
-    return nullptr;
-  }
   device_mem& dm = dev(device);
   auto it = dm.bins.find(mem_size_class(bytes));
   if (it == dm.bins.end()) {
@@ -144,21 +179,18 @@ std::vector<mem_engine::resident_ref>* mem_engine::resident(int device) {
 }
 
 void mem_engine::note_eviction(logical_data_impl& d, int device) {
-  if (!cfg.prefetch) {
-    return;
-  }
-  if (prefetch_q_.size() >= cfg.prefetch_queue_cap) {
+  if (prefetch_q_.size() >= prefetch_queue_cap) {
     prefetch_q_.pop_front();
   }
   prefetch_q_.push_back({d.weak_from_this(), device});
 }
 
 void mem_engine::pump_prefetch(context_state& st, int /*device*/) {
-  if (!cfg.prefetch || pumping_ || prefetch_q_.empty()) {
+  if (pumping_ || prefetch_q_.empty()) {
     return;
   }
   pumping_ = true;
-  std::size_t budget = cfg.prefetch_max_inflight;
+  std::size_t budget = prefetch_max_inflight;
   try {
     while (budget > 0 && !prefetch_q_.empty()) {
       prefetch_entry e = std::move(prefetch_q_.front());
@@ -246,7 +278,7 @@ void release_device_instance(context_state& st, logical_data_impl& d,
   deps.merge(inst.readers);
   deps.merge(inst.writer);
   st.mem.on_nonresident(device, inst);
-  if (recycle && st.mem.cfg.cache && !st.plat->device_failed(device)) {
+  if (recycle && !st.plat->device_failed(device)) {
     st.mem.release_block(st, device, d.bytes(), inst.ptr, std::move(deps));
   } else {
     st.backend->free_device(device, inst.ptr, deps, st.dangling);
@@ -288,11 +320,9 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
     return false;
   }
   backend_stats& bs = backend->mutable_stats();
-  const bool la = mem.cfg.lookahead;
-  const std::size_t batch = std::max<std::size_t>(1, mem.cfg.evict_batch);
   std::size_t evicted = 0;
   std::size_t freed = 0;
-  while (evicted < batch || freed < bytes_needed) {
+  while (evicted < evict_batch || freed < bytes_needed) {
     mem_engine::resident_ref best{};
     mem_engine::resident_ref lru{};
     std::uint64_t best_key = std::numeric_limits<std::uint64_t>::max();
@@ -307,34 +337,29 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
         lru_key = key;
         lru = r;
       }
-      if (la) {
-        // Scan resistance: streaming instances (reuse interval beyond the
-        // threshold) are evicted most-recent-first and always before hot
-        // ones. scan_base splits the key space so every streaming key
-        // sorts below every hot key; penalties still add on top.
-        constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
-        if (mem.cfg.scan_threshold != 0 &&
-            inst.last_use - inst.prev_use > mem.cfg.scan_threshold) {
-          key = scan_base - inst.last_use;
-          if (mem.cfg.scan_guard != 0 &&
-              inst.last_use + mem.cfg.scan_guard >
-                  use_counter.load(std::memory_order_relaxed)) {
-            // Too young: its producers are still in flight (see scan_guard).
-            key += scan_base / 2;
-          }
-        } else {
-          key += scan_base;
+      // Scan resistance: streaming instances (reuse interval beyond the
+      // threshold) are evicted most-recent-first and always before hot
+      // ones. scan_base splits the key space so every streaming key sorts
+      // below every hot key; penalties still add on top.
+      constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
+      if (inst.last_use - inst.prev_use > scan_threshold) {
+        key = scan_base - inst.last_use;
+        if (inst.last_use + scan_guard >
+            use_counter.load(std::memory_order_relaxed)) {
+          // Too young: its producers are still in flight (see scan_guard).
+          key += scan_base / 2;
         }
-        if (inst.state == msi_state::modified) {
-          key += mem.cfg.dirty_penalty;
-        }
-        if (mem.cfg.pending_penalty != 0 && has_pending_events(inst)) {
-          key += mem.cfg.pending_penalty;
-        }
-        if (ckpt != nullptr && mem.cfg.future_penalty != 0 &&
-            ckpt->has_future_use(r.data)) {
-          key += mem.cfg.future_penalty;
-        }
+      } else {
+        key += scan_base;
+      }
+      if (inst.state == msi_state::modified) {
+        key += dirty_penalty;
+      }
+      if (has_pending_events(inst)) {
+        key += pending_penalty;
+      }
+      if (ckpt != nullptr && ckpt->has_future_use(r.data)) {
+        key += future_penalty;
       }
       if (key < best_key) {
         best_key = key;
@@ -344,7 +369,7 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
     if (best.inst == nullptr) {
       break;
     }
-    if (la && best.inst->state != msi_state::modified &&
+    if (best.inst->state != msi_state::modified &&
         lru.inst != best.inst && lru.inst != nullptr &&
         lru.inst->state == msi_state::modified) {
       ++bs.writebacks_avoided;  // pure LRU would have paid a write-back here

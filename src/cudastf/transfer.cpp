@@ -9,6 +9,7 @@
 // *that* data moves; this file decides *how*.
 #include "cudastf/transfer.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "cudastf/context_state.hpp"
@@ -19,6 +20,9 @@
 namespace cudastf {
 
 namespace {
+
+/// Upper bound on the chunks of one transfer (keeps event lists small).
+constexpr std::size_t max_transfer_chunks = 8;
 
 int place_device(const data_place& p) {
   switch (p.type()) {
@@ -103,11 +107,12 @@ double link_seconds(context_state& st, int src_dev, int dst_dev,
 
 /// Number of segments a transfer of `bytes` splits into under `cfg`.
 std::size_t plan_chunks(const transfer_config& cfg, std::size_t bytes) {
-  if (cfg.chunk_bytes == 0 || bytes <= cfg.chunk_bytes || cfg.max_chunks < 2) {
+  if (!cfg.planner || bytes <= cfg.chunk_bytes) {
     return 1;
   }
-  const std::size_t want = (bytes + cfg.chunk_bytes - 1) / cfg.chunk_bytes;
-  return want < cfg.max_chunks ? want : cfg.max_chunks;
+  // chunk_bytes == 0 asks for the finest split.
+  const std::size_t chunk = std::max<std::size_t>(cfg.chunk_bytes, 1);
+  return std::min((bytes + chunk - 1) / chunk, max_transfer_chunks);
 }
 
 /// Submits one copy segment on the transfer channel, absorbing transient
@@ -161,8 +166,7 @@ void reset_fill_tracking(data_instance& inst) {
 
 data_instance* pick_transfer_source(context_state& st, logical_data_impl& d,
                                     const data_instance& dst) {
-  const transfer_config& cfg = st.xfer;
-  if (!cfg.route_by_cost) {
+  if (!st.xfer.planner) {
     return pick_valid_source(d, &dst);
   }
   const int dst_dev = place_device(dst.place);
@@ -180,9 +184,6 @@ data_instance* pick_transfer_source(context_state& st, logical_data_impl& d,
       continue;  // d2h evacuation off a failed device stays allowed
     }
     const bool chained = fill_in_flight(d, *inst);
-    if (chained && !cfg.broadcast_tree) {
-      continue;  // trees disabled: only settled copies are admissible
-    }
     const double hop = link_seconds(st, src_dev, dst_dev, bytes);
     const double cost =
         hop * (1.0 + static_cast<double>(outstanding_from(st, src_dev))) +
@@ -192,9 +193,9 @@ data_instance* pick_transfer_source(context_state& st, logical_data_impl& d,
       best_cost = cost;
     }
   }
-  // No scored candidate survived (e.g. every valid copy is a still-filling
-  // peer with trees disabled): fall back to the protocol's order so the
-  // fill still happens.
+  // No scored candidate survived (e.g. every valid copy sits on a failed
+  // or blacklisted device): fall back to the protocol's order so the fill
+  // still happens.
   return best != nullptr ? best : pick_valid_source(d, &dst);
 }
 
@@ -299,29 +300,22 @@ event_list issue_copy(context_state& st, logical_data_impl& d,
   // Count only edges the tree mechanism admitted: the legacy source order
   // can also land on a still-filling instance, but that is chaining by
   // accident, not a planned tree edge.
-  if (chained && cfg.broadcast_tree) {
+  if (chained && cfg.planner) {
     ++bs.broadcast_fanout;
-  }
-  if (cfg.trace) {
-    st.xfer_trace.push_back({src_dev, dst_dev, bytes, nchunks, false});
   }
   return evs;
 }
 
 bool request_transfer(context_state& st, logical_data_impl& d,
                       data_instance& dst) {
-  const transfer_config& cfg = st.xfer;
   // (d) Coalescing: a fill into this very buffer that still delivers the
   // current contents is already on its way (typically after a fault-path
   // MSI rollback re-invalidated the instance) — join it instead of paying
   // the copy twice. The recorded fill events already sit in dst.writer.
-  if (cfg.coalesce && dst.allocated && dst.fill_pending &&
+  if (st.xfer.planner && dst.allocated && dst.fill_pending &&
       dst.fill_version == d.write_version) {
     dst.state = msi_state::shared;
     ++st.backend->mutable_stats().copies_coalesced;
-    if (cfg.trace) {
-      st.xfer_trace.push_back({-2, place_device(dst.place), d.bytes(), 0, true});
-    }
     return true;
   }
   data_instance* src = pick_transfer_source(st, d, dst);
@@ -357,7 +351,7 @@ data_instance* pick_snapshot_source(context_state& st, logical_data_impl& d) {
     const int src_dev = place_device(inst->place);
     // Snapshots go to the host, so even a failed device qualifies (the
     // fail-stop d2h evacuation grace, DESIGN.md §5) — no blacklist filter.
-    if (!st.xfer.route_by_cost) {
+    if (!st.xfer.planner) {
       return inst.get();
     }
     const bool chained = fill_in_flight(d, *inst);
@@ -375,7 +369,6 @@ data_instance* pick_snapshot_source(context_state& st, logical_data_impl& d) {
 
 event_list issue_snapshot_copy(context_state& st, logical_data_impl& d,
                                data_instance& src, void* dst_host_buf) {
-  const transfer_config& cfg = st.xfer;
   backend_stats& bs = st.backend->mutable_stats();
   const std::size_t bytes = d.bytes();
   const int src_dev = place_device(src.place);
@@ -392,7 +385,7 @@ event_list issue_snapshot_copy(context_state& st, logical_data_impl& d,
   deps.merge(d.last_writer);
   deps.merge(src.writer);
 
-  const std::size_t nchunks = plan_chunks(cfg, bytes);
+  const std::size_t nchunks = plan_chunks(st.xfer, bytes);
   event_list evs;
   try {
     for (std::size_t i = 0; i < nchunks; ++i) {
@@ -423,15 +416,12 @@ event_list issue_snapshot_copy(context_state& st, logical_data_impl& d,
   if (nchunks > 1) {
     bs.chunks_issued += nchunks;
   }
-  if (cfg.trace) {
-    st.xfer_trace.push_back({src_dev, -1, bytes, nchunks, false});
-  }
   return evs;
 }
 
 bool stage_eviction_to_peer(context_state& st, logical_data_impl& d,
                             data_instance& victim, int from_device) {
-  if (!st.xfer.peer_eviction) {
+  if (!st.xfer.planner) {
     return false;
   }
   cudasim::platform& plat = *st.plat;

@@ -285,30 +285,6 @@ TEST(CheckpointMechanics, AutoCheckpointEveryNTasks) {
   EXPECT_DOUBLE_EQ(y[0], 17.0);
 }
 
-TEST(CheckpointMechanics, AutoCheckpointByVirtualTime) {
-  cudasim::scoped_platform sp(1, tdesc());
-  cudasim::platform& p = sp.get();
-  context ctx(p);
-  ctx.enable_checkpointing({.every_seconds = 1e-9});
-  constexpr std::size_t n = 64;
-  std::vector<double> y(n, 0.0);
-  auto ly = ctx.logical_data(y.data(), n, "y");
-  auto submit = [&] {
-    ctx.task(ly.rw()) ->* [&p](cudasim::stream& s, slice<double> dy) {
-      p.launch_kernel(s, {.name = "t", .flops = 1e6}, [=] { dy(0) += 1.0; });
-    };
-  };
-  for (int t = 0; t < 3; ++t) {
-    submit();
-  }
-  p.synchronize();  // advance virtual time past the interval
-  for (int t = 0; t < 3; ++t) {
-    submit();
-  }
-  ctx.finalize();
-  EXPECT_GE(ctx.stats().checkpoints_taken, 1u);
-}
-
 TEST(CheckpointMechanics, DisabledCheckpointingIsFullyGatedOff) {
   double now_plain = 0.0, now_armed = 0.0;
   for (int armed = 0; armed < 2; ++armed) {

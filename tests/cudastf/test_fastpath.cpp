@@ -20,7 +20,7 @@ cudasim::device_desc tdesc() {
   return d;
 }
 
-// Restores the global fast-path toggles on scope exit.
+// Restores the global pruning switch on scope exit.
 struct fastpath_guard {
   fastpath_config saved = fastpath();
   ~fastpath_guard() { fastpath() = saved; }
@@ -67,7 +67,7 @@ TEST(Fastpath, SameStreamMergeKeepsOnlyLaterEvent) {
 
 TEST(Fastpath, DominancePruningCanBeDisabled) {
   fastpath_guard guard;
-  fastpath().prune_dominated = false;
+  fastpath().prune = false;
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   p.launch_kernel(s, {.name = "k"}, [] {});
@@ -137,12 +137,11 @@ TEST(Fastpath, EventsPrunedOnChainTopology) {
 
 // Runs a STENCIL taskbench workload with real kernel costs and returns the
 // final simulated time. Pruning must be a pure dependency-graph
-// transformation: the timeline must not depend on the toggles or backend
+// transformation: the timeline must not depend on the switch or backend
 // wiring shortcuts.
 double stencil_now(bool fast, bool graph) {
   fastpath_guard guard;
-  fastpath() = fast ? fastpath_config{}
-                    : fastpath_config{false, false, false};
+  fastpath().prune = fast;
   cudasim::scoped_platform sp(2, tdesc());
   cudasim::platform& p = sp.get();
   context ctx = graph ? context::graph(p) : context(p);

@@ -103,6 +103,42 @@ TEST(GraphCtx, TopologyChangeInstantiatesAgain) {
   EXPECT_GE(ctx.stats().graph_instantiations, 2u);
 }
 
+TEST(GraphCtx, ExecCacheEvictsLeastRecentlyLaunched) {
+  // The memoized-executable cache holds 64 executables. Epochs of 1..65
+  // tasks are 65 distinct shapes, so the least recently launched one (the
+  // 1-task epoch) is evicted, and launching that shape again must
+  // instantiate instead of updating.
+  cudasim::scoped_platform sp(1, tdesc());
+  cudasim::platform& p = sp.get();
+  context ctx = context::graph(p);
+  double X[4] = {};
+  auto lX = ctx.logical_data(X, "X");
+  const auto epoch = [&](int tasks) {
+    for (int t = 0; t < tasks; ++t) {
+      ctx.task(lX.rw()).set_symbol("inc")->*
+          [&p](cudasim::stream& s, slice<double> x) {
+            p.launch_kernel(s, {.name = "inc"}, [=] { x(0) += 1.0; });
+          };
+    }
+    ctx.fence();
+  };
+  epoch(1);  // warm-up: the first epoch also carries the host-to-device fill
+  for (int tasks = 1; tasks <= 65; ++tasks) {
+    epoch(tasks);
+  }
+  EXPECT_GE(ctx.stats().graph_execs_evicted, 1u);
+
+  const std::uint64_t inst_before = ctx.stats().graph_instantiations;
+  const std::uint64_t updates_before = ctx.stats().graph_updates;
+  epoch(1);
+  EXPECT_EQ(ctx.stats().graph_instantiations, inst_before + 1);
+  EXPECT_EQ(ctx.stats().graph_updates, updates_before);
+
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_DOUBLE_EQ(X[0], 1.0 + 65.0 * 66.0 / 2.0 + 1.0);
+}
+
 TEST(GraphCtx, GraphBackendFasterForSmallKernels) {
   // The same 200-task workload; stream launch latency is 5us/kernel, graph
   // node latency 1us/kernel — graph epochs should win clearly.

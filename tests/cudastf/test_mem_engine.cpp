@@ -95,29 +95,35 @@ TEST(MemEngine, TrimReturnsCachedBlocksBeforeOom) {
 }
 
 TEST(MemEngine, CleanVictimsPreferredOverDirty) {
-  // Resident: A dirty (older), B clean (younger, host holds a valid copy).
-  // Pure LRU would evict A and pay a 1 MB write-back; lookahead scoring
-  // drops B for free.
-  cudasim::scoped_platform sp(1, small_pool_desc((2u << 20) + (64u << 10)));
+  // Resident: A dirty (oldest), B and D clean (younger, the host holds
+  // valid copies). An OOM round evicts a batch of two: pure LRU would take
+  // A and pay a 1 MB write-back; lookahead scoring drops B and D for free.
+  cudasim::scoped_platform sp(1, small_pool_desc((3u << 20) + (64u << 10)));
   cudasim::platform& p = sp.get();
   context ctx(p);
-  ctx.memory_options().evict_batch = 1;
   constexpr std::size_t elems = (1u << 20) / sizeof(double);
-  std::vector<double> a(elems, 0.0), b(elems, 7.0);
+  std::vector<double> a(elems, 0.0), b(elems, 7.0), d(elems, 9.0);
   auto la = ctx.logical_data(a.data(), elems, "a");
   auto lb = ctx.logical_data(b.data(), elems, "b");
+  auto ld = ctx.logical_data(d.data(), elems, "d");
   auto lc = ctx.logical_data<double, 1>(box<1>(elems), "c");
   ctx.task(la.rw())->*[&p](cudasim::stream& s, slice<double> v) {
     p.launch_kernel(s, {.name = "dirty"}, [=] { v(0) = 42.0; });
   };
   ctx.task(lb.read())->*[](cudasim::stream&, slice<const double>) {};
-  // Third 1 MB allocation: one of A/B must go.
+  ctx.task(ld.read())->*[](cudasim::stream&, slice<const double>) {};
+  const std::uint64_t link_before = ctx.stats().host_link_bytes;
+  // Fourth 1 MB allocation: two of A/B/D must go.
   ctx.task(lc.write())->*[](cudasim::stream&, slice<double>) {};
-  EXPECT_GE(ctx.stats().clean_drops, 1u);
+  EXPECT_EQ(ctx.stats().evictions, 2u);
+  EXPECT_EQ(ctx.stats().clean_drops, 2u);
   EXPECT_GE(ctx.stats().writebacks_avoided, 1u);
+  // A was not evicted: no write-back bytes crossed the host link.
+  EXPECT_EQ(ctx.stats().host_link_bytes, link_before);
   ctx.finalize();
   EXPECT_DOUBLE_EQ(a[0], 42.0);  // the dirty copy survived untouched
   EXPECT_DOUBLE_EQ(b[0], 7.0);
+  EXPECT_DOUBLE_EQ(d[0], 9.0);
 }
 
 TEST(MemEngine, PinnedInstancesNeverEvictedEvenWithCache) {
@@ -137,19 +143,15 @@ TEST(MemEngine, PinnedInstancesNeverEvictedEvenWithCache) {
 }
 
 TEST(MemEngine, PrefetchBackBitIdenticalCholesky) {
-  // A tiled Cholesky whose working set overflows the pool, run once with
-  // the full engine and once with every mechanism disabled (pre-engine
-  // LRU behavior). The factorizations must agree bit for bit.
+  // A tiled Cholesky whose working set overflows the pool (eviction,
+  // recycling and prefetch-back all engage), run against the same
+  // factorization on an uncapped pool that never evicts. The results must
+  // agree bit for bit.
   constexpr std::size_t n = 256, block = 64;
-  const auto run = [&](bool engine, backend_stats* out) {
-    cudasim::scoped_platform sp(1, small_pool_desc(160u << 10));
+  const auto run = [&](bool capped, backend_stats* out) {
+    cudasim::scoped_platform sp(
+        1, capped ? small_pool_desc(160u << 10) : cudasim::test_desc());
     context ctx(sp.get());
-    if (!engine) {
-      ctx.memory_options().cache = false;
-      ctx.memory_options().lookahead = false;
-      ctx.memory_options().prefetch = false;
-      ctx.memory_options().evict_batch = 1;
-    }
     blaslib::tile_matrix m(n, block);
     // Deterministic SPD fill: diagonally dominant.
     std::vector<double> dense(n * n, 0.0);
@@ -169,12 +171,13 @@ TEST(MemEngine, PrefetchBackBitIdenticalCholesky) {
     m.export_dense(l.data());
     return l;
   };
-  backend_stats on{};
-  const std::vector<double> with_engine = run(true, &on);
-  const std::vector<double> without = run(false, nullptr);
-  EXPECT_GT(on.evictions, 0u);
-  EXPECT_EQ(std::memcmp(with_engine.data(), without.data(),
-                        with_engine.size() * sizeof(double)),
+  backend_stats capped{}, uncapped{};
+  const std::vector<double> out_of_core = run(true, &capped);
+  const std::vector<double> in_core = run(false, &uncapped);
+  EXPECT_GT(capped.evictions, 0u);
+  EXPECT_EQ(uncapped.evictions, 0u);
+  EXPECT_EQ(std::memcmp(out_of_core.data(), in_core.data(),
+                        out_of_core.size() * sizeof(double)),
             0);
 }
 
