@@ -2,7 +2,10 @@
 // copies, stream-ordered allocation, host callbacks, virtual clock.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "cudasim/cudasim.hpp"
@@ -202,6 +205,126 @@ TEST(Stream, ManyOpsGetReclaimed) {
     p.synchronize();
   }
   EXPECT_EQ(p.ops_completed(), 20000u);
+}
+
+// --- handles that outlive their node (DESIGN.md §4b) ---
+//
+// synchronize() recycles every retired DES node into the slab pool, and the
+// next submissions reuse them for unrelated ops. A handle taken before the
+// recycle must keep reading as "completed" (event) or "no tail" (stream);
+// it must never alias the op that now owns the node.
+
+// Submits long kernels on `s` until every node retired so far has been
+// reused: each pooled node now belongs to a pending op that ends after 1 s.
+void reuse_pooled_nodes(platform& p, stream& s) {
+  const std::uint64_t retired = p.ops_completed();
+  while (p.nodes_pooled() < retired) {
+    p.launch_kernel(s, {.name = "reuser", .fixed_seconds = 1.0}, {});
+  }
+}
+
+TEST(Stream, EventOnRecycledNodeStaysComplete) {
+  // Returns the virtual end time of a short kernel on device 1 that
+  // follows (optionally) a wait on an event whose node has been recycled.
+  const auto run = [](bool wait) {
+    platform p(2, small_desc());
+    stream s0(p, 0);
+    stream s1(p, 1);
+    event e(p);
+    p.launch_kernel(s0, {.name = "k", .fixed_seconds = 1.0e-3}, {});
+    e.record(s0);
+    s0.synchronize();
+    EXPECT_EQ(p.nodes_pooled(), 0u);
+    reuse_pooled_nodes(p, s0);
+    EXPECT_GE(p.nodes_pooled(), 1u);
+    EXPECT_TRUE(e.query());
+    if (wait) {
+      s1.wait_event(e);
+    }
+    double t_end = -1.0;
+    p.launch_kernel(s1, {.name = "next", .fixed_seconds = 1.0e-3},
+                    [&] { t_end = p.now(); });
+    s1.synchronize();
+    EXPECT_TRUE(e.query());
+    return t_end;
+  };
+  const double with_wait = run(true);
+  EXPECT_DOUBLE_EQ(with_wait, run(false));
+  EXPECT_LT(with_wait, 0.5);  // no edge to a 1 s reuser kernel
+}
+
+TEST(Stream, RecycledStreamTailAddsNoEdge) {
+  // Returns the virtual end time of the next kernel on `sa` after its old
+  // tail node was recycled and (optionally) reused by another stream's op.
+  const auto run = [](bool reuse) {
+    platform p(2, small_desc());
+    stream sa(p, 1);
+    stream sb(p, 0);
+    p.launch_kernel(sa, {.name = "k", .fixed_seconds = 1.0e-3}, {});
+    sa.synchronize();
+    if (reuse) {
+      reuse_pooled_nodes(p, sb);
+    }
+    double t_end = -1.0;
+    p.launch_kernel(sa, {.name = "next", .fixed_seconds = 1.0e-3},
+                    [&] { t_end = p.now(); });
+    sa.synchronize();
+    return t_end;
+  };
+  const double reused = run(true);
+  EXPECT_DOUBLE_EQ(reused, run(false));
+  EXPECT_LT(reused, 0.5);  // no edge to a 1 s reuser kernel
+}
+
+TEST(Stream, EventQueryMonotonicWhileNodesRecycle) {
+  // One thread submits, records and synchronizes (recycling the nodes the
+  // recorded events point at); another polls query() lock-free on every
+  // event published so far. No event may ever go from true back to false.
+  constexpr std::size_t n_events = 2000;
+  platform p(1, small_desc());
+  stream s(p);
+  std::vector<std::unique_ptr<event>> events;
+  events.reserve(n_events);
+  for (std::size_t i = 0; i < n_events; ++i) {
+    events.push_back(std::make_unique<event>(p));
+  }
+  std::atomic<std::size_t> published{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> regressions{0};
+
+  std::thread poller([&] {
+    std::vector<char> seen_true(n_events, 0);
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::size_t n = published.load(std::memory_order_acquire);
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool q = events[i]->query();
+        if (seen_true[i] != 0 && !q) {
+          regressions.fetch_add(1, std::memory_order_relaxed);
+        }
+        seen_true[i] = static_cast<char>(seen_true[i] != 0 || q);
+      }
+    }
+  });
+  std::thread submitter([&] {
+    for (std::size_t i = 0; i < n_events; ++i) {
+      p.launch_kernel(s, {.name = "k"}, {});
+      events[i]->record(s);
+      published.store(i + 1, std::memory_order_release);
+      if (i % 16 == 15) {
+        s.synchronize();
+      }
+    }
+    s.synchronize();
+  });
+  submitter.join();
+  stop.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_GT(p.nodes_pooled(), 0u);
+  for (std::size_t i = 0; i < n_events; ++i) {
+    EXPECT_TRUE(events[i]->query()) << "event " << i;
+  }
 }
 
 }  // namespace
