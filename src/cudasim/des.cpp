@@ -22,27 +22,16 @@ const char* timeline::intern(std::string_view name) {
 
 op_node* timeline::make_node(std::string_view name, int device, engine* eng,
                              double duration, task_fn body) {
-  // Pop from the calling thread's recycle shard first (cache affinity under
-  // multi-threaded submission), then steal from any other shard.
-  auto pop_recycled = [this]() -> op_node* {
-    const std::size_t home =
-        static_cast<std::size_t>(thread_slot()) % free_shard_count;
-    for (std::size_t i = 0; i < free_shard_count; ++i) {
-      auto& shard = free_shards_[(home + i) % free_shard_count];
-      if (!shard.empty()) {
-        op_node* n = shard.back();
-        shard.pop_back();
-        return n;
-      }
-    }
-    return nullptr;
-  };
-  op_node* node = pop_recycled();
-  if (node != nullptr) {
+  op_node* node = nullptr;
+  if (!free_.empty()) {
+    node = free_.back();
+    free_.pop_back();
     ++pooled_;
     node->unmet = 0;
     node->submitted = false;
-    node->done.store(false, std::memory_order_relaxed);
+    // Release: a lock-free node_ref::done() that sees `false` again must
+    // also see the generation gc() bumped (see node_ref).
+    node->done.store(false, std::memory_order_release);
     node->t_ready = 0.0;
     node->t_start = 0.0;
     node->t_end = 0.0;
@@ -266,25 +255,15 @@ std::string timeline::stuck_report() const {
 }
 
 void timeline::gc() {
-  // Completed nodes are reclaimable as soon as external handles (streams,
-  // events) have dropped their pointers: nothing in the DAG points backwards
-  // at a completed node once its successor list has been cleared. Only the
-  // prefix covered by the last mark_collected() is recycled — nodes retired
-  // after the last handle sweep may still be referenced by an event on
-  // another thread, and resurrecting them would corrupt its lock-free
-  // query(). Recycled nodes land in the calling thread's shard.
-  const std::size_t n = std::min(collected_, retired_.size());
-  if (n == 0) {
-    return;
+  // Nothing in the DAG points backwards at a completed node once its
+  // successor list has been cleared, and outside handles are node_refs:
+  // bumping the generation turns every one of them into "completed".
+  for (op_node* n : retired_) {
+    n->gen.store(n->gen.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
   }
-  auto& home =
-      free_shards_[static_cast<std::size_t>(thread_slot()) % free_shard_count];
-  home.reserve(home.size() + n);
-  home.insert(home.end(), retired_.begin(),
-              retired_.begin() + static_cast<std::ptrdiff_t>(n));
-  retired_.erase(retired_.begin(),
-                 retired_.begin() + static_cast<std::ptrdiff_t>(n));
-  collected_ = 0;
+  free_.insert(free_.end(), retired_.begin(), retired_.end());
+  retired_.clear();
 }
 
 void timeline::drain_until(const op_node* node) {

@@ -10,9 +10,11 @@
 // The submission path is allocation-free in steady state: nodes come from a
 // slab pool and are recycled by gc(), names are interned once, bodies live
 // in a small-buffer callable, and successor edges use inline storage.
+// Handles that outlive a node (events, stream tails) are node_refs: a
+// (pointer, generation) pair that reads as completed once gc() recycled the
+// node, so recycling needs no registry of handles.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -37,9 +39,8 @@ using timepoint = double;
 
 /// Small dense identifier for the calling thread, assigned on first use and
 /// stable for the thread's lifetime. Used to shard thread-affine resources
-/// (node recycle pools, per-thread stat cells, stream striping) without a
-/// registry. Slots are never reused; shard consumers reduce modulo their
-/// shard count.
+/// (per-thread stat cells, stream striping) without a registry. Slots are
+/// never reused; shard consumers reduce modulo their shard count.
 inline int thread_slot() noexcept {
   static std::atomic<int> next{0};
   thread_local const int slot = next.fetch_add(1, std::memory_order_relaxed);
@@ -199,27 +200,31 @@ class succ_list {
 /// runs when the node completes so that numerical side effects happen in a
 /// valid topological order.
 ///
-/// Nodes live in timeline-owned slabs and are recycled after completion:
-/// holding an op_node* past completion requires dropping it before
-/// timeline::gc() runs (see platform::collect_handles()).
+/// Nodes live in timeline-owned slabs and are recycled by timeline::gc()
+/// after completion. A raw op_node* is valid until the next gc(); anything
+/// that may outlive that holds a node_ref instead.
 struct op_node {
   std::uint64_t id = 0;
   const char* name = "";  ///< interned by the owning timeline
   int device = -1;        ///< owning device, -1 for host/none
   engine* eng = nullptr;
   double duration = 0.0;  ///< engine occupancy time in seconds
+  /// Incarnation counter, bumped by timeline::gc() when it recycles the
+  /// node (under the platform lock). A node_ref taken in an earlier
+  /// incarnation compares unequal from then on and reads as completed.
+  /// Declared here it fills the padding before `body`'s 16-byte alignment,
+  /// so the node does not grow.
+  std::atomic<std::uint64_t> gen{0};
   task_fn body;
 
   succ_list succs;
   int unmet = 0;  ///< predecessors not yet complete
   bool submitted = false;
-  /// Completion flag. Atomic because event::query() reads it without the
-  /// platform lock (the only lock-free read in the simulator): completion
-  /// stores with release order so an acquire load observing `true` also
-  /// observes the final timestamps. All other accesses happen under the
-  /// platform lock and use relaxed order. A reader holding a stale pointer
-  /// to a recycled node may observe a spurious `false` — query() is
-  /// documented as conservative and monotonic (see stream.hpp).
+  /// Completion flag. Atomic because node_ref::done() (behind
+  /// event::query(), the only lock-free read in the simulator) reads it
+  /// without the platform lock: completion stores `true` and reuse stores
+  /// `false` with release order. All other accesses happen under the
+  /// platform lock and use relaxed order.
   std::atomic<bool> done{false};
   /// True when this node represents accepted work (it occupies an engine,
   /// or it is the join marker of a multi-engine operation such as a peer
@@ -243,6 +248,43 @@ struct op_node {
   timepoint t_ready = 0.0;
   timepoint t_start = 0.0;
   timepoint t_end = 0.0;
+};
+
+/// A handle to an op_node that may outlive the node: the node's pointer and
+/// its generation when the handle was taken. Once timeline::gc() has
+/// recycled the node the generations differ, and the handle behaves like a
+/// cleared pointer — it reads as completed and live() returns null — even
+/// after the node was reused for an unrelated op. Equality compares both
+/// halves, so a handle never matches the node's next incarnation.
+struct node_ref {
+  op_node* node = nullptr;
+  std::uint64_t gen = 0;
+
+  node_ref() = default;
+  /// Platform lock held (reads the current generation).
+  explicit node_ref(op_node* n)
+      : node(n),
+        gen(n != nullptr ? n->gen.load(std::memory_order_relaxed) : 0) {}
+
+  /// The node while it is still this incarnation (possibly already
+  /// completed, not yet recycled), else null. Platform lock held.
+  op_node* live() const {
+    return node != nullptr && node->gen.load(std::memory_order_relaxed) == gen
+               ? node
+               : nullptr;
+  }
+
+  /// True once the node completed; a null or recycled handle reads true.
+  /// Lock-free and monotonic: reuse bumps the generation before it clears
+  /// `done` (release), so a reader that sees `done` cleared again (acquire)
+  /// also sees the new generation. Never a false `true`: a node is only
+  /// recycled after it completed.
+  bool done() const {
+    return node == nullptr || node->done.load(std::memory_order_acquire) ||
+           node->gen.load(std::memory_order_acquire) != gen;
+  }
+
+  friend bool operator==(const node_ref&, const node_ref&) = default;
 };
 
 /// An exclusive resource that executes at most one op at a time, in the
@@ -329,18 +371,9 @@ class timeline {
   /// caller. Appended to the errors drain()/drain_until() throw.
   std::string stuck_report() const;
 
-  /// Recycles completed nodes into the slab pool. Only nodes covered by the
-  /// most recent mark_collected() call are recycled: a node retired *after*
-  /// external handles were last swept may still be referenced by an event on
-  /// another thread, and recycling it would let a stale lock-free query()
-  /// observe a resurrected node. platform::collect_handles() marks; gc()
-  /// reclaims the marked prefix.
+  /// Recycles every completed node into the slab pool, bumping its
+  /// generation so node_refs to it read as completed.
   void gc();
-
-  /// Declares that every node retired so far has had its external handle
-  /// pointers dropped (streams/events swept), making the current retired set
-  /// safe for gc() to recycle. Called by platform::collect_handles().
-  void mark_collected() { collected_ = retired_.size(); }
 
   /// Largest completion time observed so far.
   timepoint now() const { return now_; }
@@ -387,19 +420,11 @@ class timeline {
   void complete(op_node* node);
 
   static constexpr std::size_t slab_nodes = 256;
-  /// Recycle pools are sharded by thread_slot(): a submitting thread reuses
-  /// nodes it (or the thread draining on its behalf) retired, keeping hot
-  /// nodes in the local cache under multi-threaded submission. All shard
-  /// access still happens under the platform lock — the sharding is an
-  /// affinity optimization, not a synchronization mechanism.
-  static constexpr std::size_t free_shard_count = 8;
 
   std::vector<op_node*> slabs_;          ///< slab base pointers (owned)
   std::size_t slab_used_ = slab_nodes;   ///< forces first-slab allocation
-  std::array<std::vector<op_node*>, free_shard_count>
-      free_shards_;                      ///< recycled nodes ready for reuse
+  std::vector<op_node*> free_;           ///< recycled nodes ready for reuse
   std::vector<op_node*> retired_;        ///< completed, awaiting gc()
-  std::size_t collected_ = 0;            ///< retired prefix safe to recycle
   std::unordered_set<std::string, sv_hash, sv_eq> names_;
 
   std::priority_queue<pending_event, std::vector<pending_event>,

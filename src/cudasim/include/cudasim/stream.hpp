@@ -1,18 +1,18 @@
 // Simulated CUDA streams and events.
 //
-// Thread-safety: all mutating operations take the platform lock internally.
-// event::query() is the one lock-free read (it backs event_list pruning on
-// the multi-threaded submission fast path); it reads the atomic node pointer
-// and the node's atomic completion flag, and is conservative — a stale
-// pointer to a recycled node yields `false`, never a false `true`, and the
-// result is monotonic (once true, always true). Concurrent submissions to
-// the *same* stream must be serialized externally (the STF stream backend
-// holds a per-stream mutex); different streams need no coordination.
+// Thread-safety: all mutating operations take the platform lock internally;
+// creating, moving and destroying a stream or event takes no lock. Both hold
+// their DES node as a node_ref, which reads as completed once the node is
+// recycled, so no sweep has to find them. event::query() is the one
+// lock-free read (it backs event_list pruning on the multi-threaded
+// submission fast path): it never returns a false `true`, and once true it
+// stays true. An event must be recorded before other threads query it.
+// Concurrent submissions to the *same* stream must be serialized externally
+// (the STF stream backend holds a per-stream mutex); different streams need
+// no coordination.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "cudasim/des.hpp"
 #include "cudasim/fault.hpp"
@@ -30,9 +30,8 @@ class stream {
  public:
   /// Creates a stream on `device` (default: the platform's current device).
   explicit stream(platform& p, int device = -1);
-  ~stream();
 
-  stream(stream&& other) noexcept;
+  stream(stream&&) noexcept = default;
   stream& operator=(stream&&) = delete;
   stream(const stream&) = delete;
   stream& operator=(const stream&) = delete;
@@ -65,9 +64,6 @@ class stream {
   /// Blocks (drains the simulation) until all work submitted so far is done.
   void synchronize();
 
-  /// Virtual completion time of the last submitted op (0 if none pending).
-  timepoint last_op_end() const;
-
   // --- stream capture (cudaStreamBeginCapture-style) ---
   // While capturing, operations submitted to this stream are recorded into
   // `g` as graph nodes instead of being executed.
@@ -76,13 +72,13 @@ class stream {
   bool capturing() const { return capture_ != nullptr; }
   graph* capture_graph() const { return capture_; }
 
-  // Internal: dependency chaining used by the platform. `last_` is atomic
-  // because platform::collect_handles() clears completed tails under the
-  // platform lock while another thread's submission path may read the tail
-  // holding only its per-stream mutex.
-  op_node* last() const { return last_.load(std::memory_order_acquire); }
-  void set_last(op_node* n) { last_.store(n, std::memory_order_release); }
-  void drop_completed();  ///< forget last_ if it already completed
+  // Internal: dependency chaining used by the platform, platform lock held.
+  // last() is the tail node, or null once it has been recycled (a recycled
+  // tail completed, so nothing needs to wait for it); last_ref() is the
+  // handle itself, for comparing tails across a submission.
+  op_node* last() const { return last_.live(); }
+  node_ref last_ref() const { return last_; }
+  void set_last(op_node* n) { last_ = node_ref(n); }
   /// Internal: monotone per-stream counter stamped onto recorded events.
   std::uint64_t next_record_seq() { return ++record_seq_; }
   // Internal: capture bookkeeping (nodes this stream's capture tail).
@@ -93,7 +89,7 @@ class stream {
   int device_;
   std::uint64_t uid_;
   std::uint64_t record_seq_ = 0;
-  std::atomic<op_node*> last_{nullptr};
+  node_ref last_;
   graph* capture_ = nullptr;
   // Written only by platform submission calls made while the submitting
   // thread owns the stream (same thread that reads it back), so it needs no
@@ -104,10 +100,9 @@ class stream {
 /// A marker in a stream's work queue (cudaEvent_t).
 class event {
  public:
-  explicit event(platform& p);
-  ~event();
+  explicit event(platform& p) : plat_(&p) {}
 
-  event(event&& other) noexcept;
+  event(event&&) noexcept = default;
   event(const event&) = delete;
   event& operator=(const event&) = delete;
   event& operator=(event&&) = delete;
@@ -119,12 +114,9 @@ class event {
   void synchronize();
 
   /// True once the recorded point has completed (cudaEventQuery).
-  /// Lock-free and safe to call from any thread; conservative (may lag the
-  /// truth by one handle sweep) and monotonic once it returns true.
-  bool query() const;
-
-  /// Virtual timestamp of completion; only valid after synchronize().
-  timepoint completion_time() const { return t_end_; }
+  /// Lock-free and safe to call from any thread; monotonic once it returns
+  /// true (see node_ref::done()).
+  bool query() const { return recorded_ && node_.done(); }
 
   /// uid() of the stream this event was last recorded on (0 if never
   /// recorded). Together with record_seq() this orders events on the same
@@ -132,20 +124,14 @@ class event {
   std::uint64_t record_stream_uid() const { return stream_uid_; }
   std::uint64_t record_seq() const { return seq_; }
 
-  // Internal.
-  op_node* node() const { return node_.load(std::memory_order_acquire); }
-  void drop_completed();
+  /// Internal: the recorded tail node (matched against cancelled ops).
+  node_ref ref() const { return node_; }
 
  private:
-  friend class stream;
-  friend class platform;
   platform* plat_;
-  /// Pending tail node, null once collected. Atomic: cleared by
-  /// platform::collect_handles() under the platform lock while query() may
-  /// read it lock-free from a submitting thread.
-  std::atomic<op_node*> node_{nullptr};
+  /// The stream tail captured by record(); written only by record().
+  node_ref node_;
   bool recorded_ = false;
-  timepoint t_end_ = 0.0;
   std::uint64_t stream_uid_ = 0;
   std::uint64_t seq_ = 0;
 };

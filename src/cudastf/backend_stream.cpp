@@ -104,7 +104,7 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
   // was clean and the submission can be retried; real work at the tail
   // (including a peer-copy join marker) means a prefix of the payload
   // executed and retry would double-run it.
-  cudasim::op_node* before = s.last();
+  const cudasim::node_ref before = s.last_ref();
   payload(s);
   const cudasim::sim_status st = s.status();
   if (st != cudasim::sim_status::success) {
@@ -112,9 +112,13 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
     // stale sticky status would silently refuse their submissions.
     s.clear_status();
     if (rr != nullptr) {
-      cudasim::op_node* after = s.last();
+      // Under the platform lock, so the tail node cannot be recycled
+      // between the generation check and the real_work read.
+      std::lock_guard lock(plat_->mutex());
+      const cudasim::op_node* after = s.last();
       rr->status = st;
-      rr->partial = after != before && after != nullptr && after->real_work;
+      rr->partial =
+          s.last_ref() != before && after != nullptr && after->real_work;
     }
   } else if (rr != nullptr) {
     rr->status = cudasim::sim_status::success;

@@ -200,10 +200,10 @@ void deadline_monitor::escalate(std::size_t idx) {
   // only snapshots genuinely queued behind the cancelled op.
   while (plat.drain_one()) {
   }
-  const cudasim::op_node* prefer = nullptr;
+  cudasim::node_ref prefer;
   if (idx != npos && entries_[idx].done != nullptr) {
     if (stream_event* se = as_stream_event(entries_[idx].done)) {
-      prefer = se->ev.node();
+      prefer = se->ev.ref();
     }
   }
   // Capture the report before surgery: it names the wedge and its stuck
@@ -246,7 +246,7 @@ void deadline_monitor::escalate(std::size_t idx) {
       continue;
     }
     if (stream_event* se = as_stream_event(entries_[i].done)) {
-      if (se->ev.node() == info.node) {
+      if (se->ev.ref() == info.node) {
         victim = i;
         break;
       }

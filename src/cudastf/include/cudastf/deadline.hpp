@@ -41,7 +41,6 @@
 #include "cudastf/events.hpp"
 
 namespace cudasim {
-struct op_node;
 class platform;
 }
 

@@ -17,8 +17,8 @@
 //    acquisition and the recording of its completion events.
 //
 // Lock hierarchy (outer to inner): submit_gate -> data stripes -> backend
-// per-stream mutex -> platform driver lock -> platform event-registry
-// shards. Each level only ever acquires levels to its right.
+// per-stream mutex -> platform driver lock. Each level only ever acquires
+// levels to its right.
 #pragma once
 
 #include <algorithm>

@@ -266,9 +266,9 @@ TEST(ParallelSubmit, StructuralOpsMixedWithFastPath) {
   }
 
   // Every 40th item runs a structural op (fence: drains the DES, recycles
-  // slab nodes via collect_handles + gc) from a worker thread, exercising
-  // the exclusive gate against in-flight fast-path submissions and the
-  // retired-prefix guard that keeps recycled nodes safe from stale events.
+  // slab nodes via gc) from a worker thread, exercising the exclusive gate
+  // against in-flight fast-path submissions and the generation tags that
+  // make events on recycled nodes read as completed.
   ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
     if (item % 40 == 17) {
       ctx.fence();
@@ -312,7 +312,7 @@ TEST(ParallelSubmit, SlabRecyclingStressAcrossEpochs) {
         axpb_kernel(p, s, 1.0, 1.0, v);
       };
     });
-    // Drain + collect_handles + gc: retire and recycle the epoch's nodes
+    // Drain + gc: retire and recycle the epoch's nodes
     // (the stream backend's fence is a no-op, so drain at platform level).
     p.synchronize();
   }
