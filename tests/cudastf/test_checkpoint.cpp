@@ -187,6 +187,67 @@ TEST(CheckpointRestart, ParallelForReplaysAfterRestart) {
   }
 }
 
+// The other two builders replay too: a launch spanning both devices and a
+// host_launch, interleaved on the same data, with a kernel fault escalating
+// to an epoch restart after the last checkpoint. The observer counts ops
+// per construct, so a restart that replayed only one of them is told apart
+// from one that replayed both.
+TEST(CheckpointRestart, LaunchAndHostLaunchReplayAfterRestart) {
+  cudasim::scoped_platform sp(2, tdesc());
+  cudasim::platform& p = sp.get();
+  p.ensure_fault_injector().schedule(
+      {.kind = cudasim::fault_kind::kernel_fault, .device = -1, .at_op = 14});
+  context ctx(p);
+  trace_observer trace;
+  ctx.observe(trace);
+  ctx.set_retry_policy({.max_attempts = 1});
+  ctx.enable_checkpointing({.every_n_tasks = 4});
+  constexpr std::size_t n = 128;
+  constexpr int rounds = 8;
+  std::vector<double> y(n, 0.0);
+  error_report rep;
+  backend_stats stats{};
+  {
+    auto ly = ctx.logical_data(y.data(), n, "y");
+    for (int t = 0; t < rounds; ++t) {
+      ctx.launch(par(con(4)), exec_place::all_devices(), ly.rw())
+              .set_symbol("launch_inc") ->*
+          [](thread_hierarchy& th, slice<double> v) {
+            for (auto [i] : th.apply_partition(shape(v))) {
+              v(i) += 1.0;
+            }
+          };
+      ctx.host_launch(ly.rw()).set_symbol("host_inc")->*[](slice<double> v) {
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          v(i) += 1.0;
+        }
+      };
+    }
+    rep = ctx.finalize();
+    stats = ctx.stats();
+  }
+  ctx.unobserve(trace);
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_GE(stats.rollbacks, 1u);
+  // Every submission and every replay emits one record, so records beyond
+  // one per submission are replays (the faulted launch emits a failed
+  // record, then completes through its replay).
+  std::size_t launches = 0, hosts = 0;
+  for (const op_record& r : trace.records()) {
+    launches += r.kind == op_kind::launch ? 1 : 0;
+    hosts += r.kind == op_kind::host ? 1 : 0;
+  }
+  const std::size_t launch_replays = launches - rounds;
+  const std::size_t host_replays = hosts - rounds;
+  EXPECT_GE(launch_replays, 1u);
+  EXPECT_GE(host_replays, 1u);
+  EXPECT_EQ(stats.tasks_replayed, launch_replays + host_replays);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Each of the 2 * rounds increments applied exactly once.
+    ASSERT_DOUBLE_EQ(y[i], 2.0 * rounds) << i;
+  }
+}
+
 TEST(CheckpointRestart, TiledCholeskyBitIdenticalAfterRestart) {
   using namespace blaslib;
   constexpr std::size_t n = 64, block = 16;
