@@ -12,6 +12,11 @@
 # restart rung or the poison rung itself (or their predecessors) would fork
 # the rung decision again.
 #
+# And it holds every structural entry point to the one structural lock
+# (DESIGN.md §11): the exclusive gate and the context lock are taken only
+# through detail::structural_lock, so no site can take them in another
+# order or forget the gate.
+#
 # Exit 0 when clean, 1 with a file:line listing per violation.
 set -euo pipefail
 
@@ -101,7 +106,29 @@ for f in "${engines[@]}"; do
   done
 done
 
+# The structural-lock definition (context_locks through structural_lock in
+# threading.hpp) is the only place allowed to touch the context lock.
+lock_def="$inc/threading.hpp"
+def_lines="$(awk '/^class context_locks \{/ { s = NR }
+                  s && /^class structural_lock \{/ { t = 1 }
+                  t && /^\};/ { print s, NR; exit }' "$lock_def")"
+if [[ -z "$def_lines" ]]; then
+  echo "check_builder_drift: structural_lock definition not found in $lock_def" >&2
+  status=1
+  def_lines="0 0"
+fi
+read -r def_first def_last <<< "$def_lines"
+lock_bypass='gate_exclusive|context_mu_|\bmt\(\)|(\bst_?|ctx\(\)|state)(\.|->)mu\b'
+while IFS=: read -r file line text; do
+  if [[ "$file" == "$lock_def" ]] && (( line >= def_first && line <= def_last )); then
+    continue
+  fi
+  echo "check_builder_drift: structural lock bypassed (use detail::structural_lock):" >&2
+  echo "$file:$line:$text" >&2
+  status=1
+done < <(grep -rEnH "$lock_bypass" "$src" --include='*.hpp' --include='*.cpp' || true)
+
 if [[ "$status" == 0 ]]; then
-  echo "check_builder_drift: builder headers and engine sources are clean"
+  echo "check_builder_drift: builder headers, engine sources and lock sites are clean"
 fi
 exit "$status"

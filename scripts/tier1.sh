@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then the
-# Table I task-overhead benchmark in JSON mode. Exits nonzero on any
-# failure. Usage: scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke]
-#                                  [--chaos] [build-dir]
+# Table I task-overhead benchmark in JSON mode. Usage:
+#   scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke] [--chaos] [build-dir]
+#
+# A failed build stops the run at once. Every other check is a gate: a
+# failing gate is recorded and the remaining gates and blocks still run, so
+# one failure never hides another. The run ends with the list of failed
+# gates and exits 1 if there is any.
 #
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
 # the fault-injection, checkpoint, eviction and transfer tests under it —
 # the error and recovery paths are where lifetime bugs would hide.
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
-# the parallel-submission, fast-path, fault-injection and stream/event tests
-# under it — the sharded submission paths (DESIGN.md §11) and the lock-free
+# the parallel-submission, fast-path, fault-injection, concurrency-API and
+# stream/event tests under it — the sharded submission paths (DESIGN.md
+# §11), raw-thread submission under the context lock and the lock-free
 # event query are where data races would hide.
 #
 # --bench-smoke additionally runs every --json benchmark once and diffs the
@@ -55,18 +60,32 @@ done
 build="${1:-$repo/build}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+failed=()
+fail_gate() {
+  echo "tier1: gate failed: $1" >&2
+  failed+=("$1")
+}
+# Runs one gate: "$@" is the check. A failure is recorded, not fatal.
+gate() {
+  local name="$1"
+  shift
+  "$@" || fail_gate "$name"
+}
+
 cmake -S "$repo" -B "$build"
 cmake --build "$build" -j "$jobs"
 # Engine entry points live in submit.{hpp,cpp} only (DESIGN.md §13); a
 # builder header referencing one is structural drift and fails the run.
-"$repo/scripts/check_builder_drift.sh"
+gate "builder drift lint" "$repo/scripts/check_builder_drift.sh"
 # Wall-clock timeout: the suite exercises hang injection and recovery; if a
 # regression ever wedges a real (non-virtual) wait, the run fails loudly
 # instead of hanging CI. Normal runs finish in seconds.
-timeout --signal=KILL "${TIER1_CTEST_TIMEOUT:-600}" \
+gate "ctest" timeout --signal=KILL "${TIER1_CTEST_TIMEOUT:-600}" \
   ctest --test-dir "$build" --output-on-failure -j "$jobs"
-"$build/bench/bench_table1_task_overhead" --json
-"$build/bench/bench_fig3_oom_cholesky" --json
+gate "bench_table1_task_overhead --json" \
+  "$build/bench/bench_table1_task_overhead" --json
+gate "bench_fig3_oom_cholesky --json" \
+  "$build/bench/bench_fig3_oom_cholesky" --json
 
 # Sorted unique JSON object keys of a record stream — the schema, not the
 # values.
@@ -74,10 +93,48 @@ json_keys() {
   grep -o '"[A-Za-z_][A-Za-z_0-9]*"[[:space:]]*:' "$1" | tr -d ' :' | sort -u
 }
 
+# Diffs `out` against `baseline`: the JSON key set only for the (noisy,
+# wall-clock) Table I bench, byte for byte for every other bench.
+diff_output() {
+  local bench="$1" baseline="$2" out="$3" diff_file="$4"
+  if [[ "$bench" != bench_table1_task_overhead ]]; then
+    if ! diff "$baseline" "$out" > "$diff_file"; then
+      echo "bench-smoke: $bench output differs from $(basename "$baseline"):" >&2
+      cat "$diff_file" >&2
+      return 1
+    fi
+  elif ! diff <(json_keys "$baseline") <(json_keys "$out") > "$diff_file"; then
+    echo "bench-smoke: $bench JSON keys drifted from $(basename "$baseline"):" >&2
+    cat "$diff_file" >&2
+    return 1
+  fi
+}
+
+# Task-overhead guard (Table I): the submission pipeline must not slow the
+# per-task cost. Compares the aggregate mean_us_per_task of this run
+# against the checked-in baseline; fails on a >10% regression. Aggregating
+# over all topology/device/thread records absorbs per-record noise while
+# still catching a systematic slowdown of the submission path.
+mean_us() {
+  grep -o '"mean_us_per_task"[[:space:]]*:[[:space:]]*[0-9.]*' "$1" |
+    awk -F: '{ sum += $2; n += 1 } END { if (n) printf "%.6f", sum / n }'
+}
+task_overhead_guard() {
+  local base_us new_us
+  base_us="$(mean_us "$repo/BENCH_table1.json")"
+  new_us="$(mean_us "$1")"
+  echo "bench-smoke: µs/task aggregate baseline=$base_us current=$new_us"
+  if ! awk -v b="$base_us" -v n="$new_us" \
+      'BEGIN { exit !(b > 0 && n <= b * 1.10) }'; then
+    echo "bench-smoke: task overhead regressed >10% vs BENCH_table1.json" \
+         "(baseline ${base_us}µs/task, current ${new_us}µs/task)" >&2
+    return 1
+  fi
+}
+
 if [[ "$bench_smoke" == 1 ]]; then
   smoke_dir="$(mktemp -d)"
   trap 'rm -rf "$smoke_dir"' EXIT
-  status=0
   for pair in \
     "bench_table1_task_overhead:BENCH_table1.json" \
     "bench_fig3_oom_cholesky:BENCH_fig3.json" \
@@ -96,45 +153,21 @@ if [[ "$bench_smoke" == 1 ]]; then
     ext="${baseline##*.}"
     out="$smoke_dir/$bench.$ext"
     echo "bench-smoke: $bench"
-    if [[ "$ext" == json ]]; then
-      "$build/bench/$bench" --json > "$out"
-    else
-      "$build/bench/$bench" > "$out"
+    flags=()
+    [[ "$ext" == json ]] && flags=(--json)
+    if ! "$build/bench/$bench" "${flags[@]}" > "$out"; then
+      fail_gate "bench-smoke $bench run"
+      continue
     fi
-    if [[ "$bench" != bench_table1_task_overhead ]]; then
-      if ! diff "$baseline" "$out" > "$smoke_dir/$bench.diff"; then
-        echo "bench-smoke: $bench output differs from ${pair##*:}:" >&2
-        cat "$smoke_dir/$bench.diff" >&2
-        status=1
-      fi
-    elif ! diff <(json_keys "$baseline") <(json_keys "$out") > "$smoke_dir/$bench.diff"; then
-      echo "bench-smoke: $bench JSON keys drifted from ${pair##*:}:" >&2
-      cat "$smoke_dir/$bench.diff" >&2
-      status=1
-    fi
+    gate "bench-smoke $bench vs ${pair##*:}" \
+      diff_output "$bench" "$baseline" "$out" "$smoke_dir/$bench.diff"
   done
-  [[ "$status" == 0 ]] || exit "$status"
-  echo "bench-smoke: all benchmark JSON schemas match their baselines" \
+  echo "bench-smoke: JSON schemas and byte-for-byte outputs checked" \
        "(bench_chaos, bench_table2_reduction, bench_fig3_oom_cholesky" \
-       "and the Figs. 8-11 and ablation text outputs byte for byte)"
-
-  # Task-overhead guard (Table I): the submission pipeline must not slow
-  # the per-task cost. Compare the aggregate mean_us_per_task of this run
-  # against the checked-in baseline; fail on a >10% regression. Aggregating
-  # over all topology/device/thread records absorbs per-record noise while
-  # still catching a systematic slowdown of the submission path.
-  mean_us() {
-    grep -o '"mean_us_per_task"[[:space:]]*:[[:space:]]*[0-9.]*' "$1" |
-      awk -F: '{ sum += $2; n += 1 } END { if (n) printf "%.6f", sum / n }'
-  }
-  base_us="$(mean_us "$repo/BENCH_table1.json")"
-  new_us="$(mean_us "$smoke_dir/bench_table1_task_overhead.json")"
-  echo "bench-smoke: µs/task aggregate baseline=$base_us current=$new_us"
-  if ! awk -v b="$base_us" -v n="$new_us" \
-      'BEGIN { exit !(b > 0 && n <= b * 1.10) }'; then
-    echo "bench-smoke: task overhead regressed >10% vs BENCH_table1.json" \
-         "(baseline ${base_us}µs/task, current ${new_us}µs/task)" >&2
-    exit 1
+       "and the Figs. 8-11 and ablation text outputs)"
+  if [[ -s "$smoke_dir/bench_table1_task_overhead.json" ]]; then
+    gate "bench-smoke Table I µs/task guard" \
+      task_overhead_guard "$smoke_dir/bench_table1_task_overhead.json"
   fi
 fi
 
@@ -148,81 +181,84 @@ if [[ "$chaos" == 1 ]]; then
   # explores pool-recycling and ordering interactions, deterministically
   # per printed seed. The virtual-time DES makes each round cheap; the
   # watchdog converts any hang into a diagnostic failure well inside the
-  # budget.
-  while (( SECONDS < deadline )); do
+  # budget. The soak stops at its first failing round.
+  # The deadline suite adds the stall soak: it carries its own seeded hang
+  # schedules (permanent and transient stalls, backpressure, cancellation);
+  # shuffled ordering varies pool recycling across rounds.
+  chaos_failed=0
+  while (( SECONDS < deadline && chaos_failed == 0 )); do
     echo "chaos: round $rounds (seed $seed, $((deadline - SECONDS))s left)"
-    "$build/tests/test_checkpoint" \
-      --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
-      --gtest_brief=1
-    "$build/tests/test_fault_injection" \
-      --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
-      --gtest_brief=1
-    "$build/tests/test_integrity" \
-      --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
-      --gtest_brief=1
-    # Stall soak: the deadline suite carries its own seeded hang schedules
-    # (permanent and transient stalls, backpressure, cancellation); shuffled
-    # ordering varies pool recycling across rounds.
-    "$build/tests/test_deadline" \
-      --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
-      --gtest_brief=1
+    for suite in test_checkpoint test_fault_injection test_integrity \
+                 test_deadline; do
+      if ! "$build/tests/$suite" \
+          --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
+          --gtest_brief=1; then
+        fail_gate "chaos $suite (CHAOS_SEED=$seed)"
+        chaos_failed=1
+      fi
+    done
     seed=$((seed + 1))
     rounds=$((rounds + 1))
   done
   echo "chaos: $rounds rounds completed within ${budget}s budget"
 fi
 
+# Builds `targets` in the sanitizer tree `dir` configured with `flag`, then
+# runs each target as its own gate under `env_vars`. A failed sanitizer
+# build is one recorded gate and skips that tree's runs.
+sanitizer_tier() {
+  local name="$1" dir="$2" flag="$3" env_vars="$4"
+  shift 4
+  if ! { cmake -S "$repo" -B "$dir" "$flag" &&
+         cmake --build "$dir" -j "$jobs" --target "$@"; }; then
+    fail_gate "$name build"
+    return 0
+  fi
+  local t
+  for t in "$@"; do
+    gate "$name $t" env $env_vars "$dir/tests/$t"
+  done
+}
+
 if [[ "$sanitize" == 1 ]]; then
-  asan_build="$repo/build-asan"
-  cmake -S "$repo" -B "$asan_build" -DREPRO_SANITIZE=ON
-  cmake --build "$asan_build" -j "$jobs" \
-    --target test_fault_injection test_eviction test_checkpoint \
-             test_mem_engine test_integrity test_deadline \
-             test_submit_pipeline test_recovery_ladder test_transfer
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_fault_injection"
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_eviction"
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_checkpoint"
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_mem_engine"
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_integrity"
-  # Cancellation must not leak or double-release pinned instances
-  # (DESIGN.md §12): the deadline suite's eviction-after-cancel test is the
-  # regression gate.
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_deadline"
-  # Observer records cross the failure/cancellation paths (DESIGN.md §13):
-  # emission after rollback is where a dangling dep record would hide.
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_submit_pipeline"
-  # Every rung of the recovery ladder, each failure source with and
-  # without checkpointing (DESIGN.md §5).
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_recovery_ladder"
-  # Chunked, chained and coalesced copies write through raw segment offsets
-  # into instance buffers (DESIGN.md §6).
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-    "$asan_build/tests/test_transfer"
+  # Error and recovery paths are where lifetime bugs would hide:
+  #  - test_deadline: cancellation must not leak or double-release pinned
+  #    instances (DESIGN.md §12); its eviction-after-cancel test is the
+  #    regression gate.
+  #  - test_submit_pipeline: observer records cross the failure and
+  #    cancellation paths (DESIGN.md §13); emission after rollback is where
+  #    a dangling dep record would hide.
+  #  - test_recovery_ladder: every rung of the recovery ladder, each failure
+  #    source with and without checkpointing (DESIGN.md §5).
+  #  - test_transfer: chunked, chained and coalesced copies write through
+  #    raw segment offsets into instance buffers (DESIGN.md §6).
+  sanitizer_tier asan "$repo/build-asan" -DREPRO_SANITIZE=ON \
+    "ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1" \
+    test_fault_injection test_eviction test_checkpoint test_mem_engine \
+    test_integrity test_deadline test_submit_pipeline test_recovery_ladder \
+    test_transfer
 fi
 
 if [[ "$tsan" == 1 ]]; then
-  tsan_build="$repo/build-tsan"
-  cmake -S "$repo" -B "$tsan_build" -DREPRO_TSAN=ON
-  cmake --build "$tsan_build" -j "$jobs" \
-    --target test_parallel_submit test_fastpath test_fault_injection \
-             test_deadline test_submit_pipeline test_cudasim_stream
-  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_parallel_submit"
-  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_fastpath"
-  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_fault_injection"
-  # Parallel submission racing backpressure, cancellation and restart.
-  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_deadline"
-  # MT workers entering/leaving the fast path around observer attach and
-  # detach — where a race between emission and the gate would hide.
-  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_submit_pipeline"
-  # Lock-free event queries racing node recycling: a handle whose node was
-  # reused must read as completed, never as the new op's state.
-  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_cudasim_stream"
+  #  - test_deadline: parallel submission racing backpressure, cancellation
+  #    and restart.
+  #  - test_submit_pipeline: MT workers entering/leaving the fast path
+  #    around observer attach and detach — where a race between emission
+  #    and the gate would hide.
+  #  - test_concurrency_api: raw threads submitting without
+  #    parallel_submit, serialized only by the context lock.
+  #  - test_cudasim_stream: lock-free event queries racing node recycling;
+  #    a handle whose node was reused must read as completed, never as the
+  #    new op's state.
+  sanitizer_tier tsan "$repo/build-tsan" -DREPRO_TSAN=ON \
+    "TSAN_OPTIONS=halt_on_error=1" \
+    test_parallel_submit test_fastpath test_fault_injection test_deadline \
+    test_submit_pipeline test_concurrency_api test_cudasim_stream
 fi
+
+if (( ${#failed[@]} > 0 )); then
+  echo "tier1: ${#failed[@]} gate(s) failed:" >&2
+  printf '  - %s\n' "${failed[@]}" >&2
+  exit 1
+fi
+echo "tier1: all gates passed"

@@ -96,8 +96,7 @@ data_impl_ptr context::register_impl(std::vector<std::size_t> extents,
                                      std::string name) {
   // Registration mutates the registry and adoption state: structural, so it
   // excludes fast-path submitters while workers are live (DESIGN.md §11).
-  detail::gate_exclusive xg(st_->gate, mt());
-  std::lock_guard lock(st_->mu);
+  detail::structural_lock lock(*st_);
   auto impl = std::make_shared<logical_data_impl>(
       st_, std::move(extents), elem_size, host_ptr, std::move(name));
   st_->registry.emplace_back(impl);
@@ -188,8 +187,7 @@ void context_state::order_record(std::string_view symbol,
 }
 
 error_report context::finalize() {
-  detail::gate_exclusive xg(st_->gate, mt());
-  std::unique_lock lock(st_->mu);
+  detail::structural_lock lock(*st_);
   if (st_->dl != nullptr) [[unlikely]] {
     // Drain deadline (DESIGN.md §12): resolve tracked submissions — cancel,
     // retry, quarantine or restart wedged ones — before write-backs are

@@ -252,9 +252,7 @@ event_list write_back_host(context_state& st, logical_data_impl& d) {
 logical_data_impl::~logical_data_impl() {
   // Destruction is structural: it rewrites instance lists and issues
   // write-backs, so it excludes fast-path submitters first (DESIGN.md §11).
-  detail::gate_exclusive xg(st_->gate,
-                            st_->mt_active.load(std::memory_order_acquire));
-  std::lock_guard lock(st_->mu);
+  detail::structural_lock lock(*st_);
   // Write back to the application's memory before device copies vanish. A
   // failing write-back is recorded as data_lost, never thrown (§5) — a
   // destructor must not propagate.

@@ -242,8 +242,7 @@ class context {
   /// the memory engine's cached blocks back to the platform (DESIGN.md §9)
   /// so pool accounting is exact across epochs.
   void fence() {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->mem.trim_all(*st_);
     try {
       st_->backend->fence();
@@ -279,8 +278,7 @@ class context {
   /// virtual-time backoff). Also governs the graph backend's epoch-launch
   /// relaunch loop.
   void set_retry_policy(const retry_policy& p) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->retry = p;
   }
 
@@ -291,8 +289,7 @@ class context {
   /// evacuated to the host while device-to-host copies are still allowed,
   /// then future work is re-routed to the surviving devices.
   void blacklist_device(int device) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->blacklist_device(device);
   }
 
@@ -305,8 +302,7 @@ class context {
   /// -> quarantine the hanging device -> epoch restart -> poison-cancel
   /// with a cause chain naming the stuck predecessors).
   void set_default_deadline(double seconds) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->ensure_dl().default_deadline = seconds;
   }
 
@@ -315,8 +311,7 @@ class context {
   /// max_pending_bytes touched bytes are in flight; ctx.try_task()
   /// submissions shed with overload_error instead. 0 = unlimited.
   void limits(task_limits lim) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->ensure_dl().limits = lim;
   }
 
@@ -333,8 +328,7 @@ class context {
   /// epoch-0 snapshot). Fully gated off when never called: disabled
   /// contexts pay a single null-pointer check per submission.
   void enable_checkpointing(checkpoint_options opts = {}) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->ckpt = std::make_unique<checkpoint_manager>(*st_, opts);
     st_->sweep_registry();
     for (auto& w : st_->registry) {
@@ -348,8 +342,7 @@ class context {
   /// take_checkpoint). Returns false when checkpointing is disabled or the
   /// attempt was aborted by a refused snapshot copy.
   bool checkpoint() {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     return st_->ckpt != nullptr && st_->ckpt->take_checkpoint();
   }
 
@@ -365,8 +358,7 @@ class context {
   /// reference, closing the trust-on-first-use window. Never calling this leaves every hook at a
   /// single null-pointer check — the disarmed fast path is untouched.
   integrity_config& integrity_options() {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     if (st_->integ == nullptr) {
       st_->integ = std::make_unique<integrity_engine>();
       st_->sweep_registry();
@@ -384,8 +376,7 @@ class context {
   /// like a trust-boundary detection. Returns the number of replicas
   /// verified; 0 when the integrity engine is disarmed.
   std::size_t scrub() {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     return st_->integ == nullptr ? 0 : st_->integ->scrub(*st_);
   }
 
@@ -399,8 +390,7 @@ class context {
   /// otherwise hang the DES (the watchdog would catch it only at drain
   /// time).
   void order_after(std::string before, std::string after) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->declare_order(std::move(before), std::move(after));
   }
 
@@ -413,15 +403,13 @@ class context {
   /// attached, submissions are structural: they leave the §11 lock-free
   /// fast path (fast_path_submits() stops advancing).
   void observe(submit_observer& obs) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     st_->observers.push_back(&obs);
   }
 
   /// Detaches a previously registered observer (no-op if absent).
   void unobserve(submit_observer& obs) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     auto& v = st_->observers;
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (v[i] == &obs) {
@@ -435,8 +423,7 @@ class context {
   /// Equivalent to setting CUDASTF_DOT_FILE, minus the finalize()-time
   /// auto-write: render with dot_export(path) whenever convenient.
   dot_exporter& enable_dot() {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     if (st_->dot == nullptr) {
       st_->dot = std::make_unique<dot_exporter>();
       st_->observers.push_back(st_->dot.get());
@@ -449,8 +436,7 @@ class context {
   /// CUDASTF's CUDASTF_DOT_FILE view). False when no exporter is armed
   /// (enable_dot() / CUDASTF_DOT_FILE) or the file could not be written.
   bool dot_export(const std::string& path) {
-    detail::gate_exclusive xg(st_->gate, mt());
-    std::lock_guard lock(st_->mu);
+    detail::structural_lock lock(*st_);
     return st_->dot != nullptr && st_->dot->write(path);
   }
 
@@ -488,9 +474,6 @@ class context {
     f.detail = std::string("epoch refused at ") + site + ": " + e.what();
     return f;
   }
-
-  /// Whether the exclusive gate must engage (workers are live right now).
-  bool mt() const { return st_->mt_active.load(std::memory_order_acquire); }
 
   template <class E, int R>
   cudastf::logical_data<slice<E, R>> from_ptr(E* p,

@@ -30,7 +30,7 @@ class logical_data_impl;
 class submit_observer;
 class dot_exporter;
 
-struct context_state {
+struct context_state : detail::context_locks {
   context_state() = default;
   /// Trims cached device blocks back to the platform (mem_engine.hpp) so a
   /// context torn down without finalize() leaks no pool space.
@@ -39,26 +39,9 @@ struct context_state {
   cudasim::platform* plat = nullptr;
   std::unique_ptr<backend_iface> backend;
 
-  /// Serializes task submission; multiple CPU threads may inject tasks
-  /// concurrently (§VII-E). Slow-path submissions and structural operations
-  /// still take this lock; fast-path submissions under parallel_submit()
-  /// bypass it (see `gate` / `data_stripes` below and DESIGN.md §11).
-  std::recursive_mutex mu;
-
   // --- parallel submission (DESIGN.md §11) ---
-
-  /// True while parallel_submit() workers are live. Every structural entry
-  /// point checks this one relaxed flag; single-threaded contexts pay a
-  /// branch and nothing else.
-  std::atomic<bool> mt_active{false};
-
-  /// Reader-writer gate: fast-path submissions hold it shared (they touch
-  /// only their deps' stripes plus thread-safe backend/platform state);
-  /// everything structural — fence, finalize, registration, destruction,
-  /// allocation, recovery, checkpoint/integrity/order config, slow-path
-  /// submissions — holds it exclusive, so the pre-existing single-threaded
-  /// code bodies run unchanged under it. Engaged only while mt_active.
-  detail::submit_gate gate;
+  // mt_active, the submission gate and the context lock live in the
+  // context_locks base; structural code locks them via structural_lock.
 
   /// Deterministic-order mode (ctx.set_deterministic_order()): worker
   /// threads in parallel_submit() hand off through a ticket turnstile so
@@ -235,7 +218,8 @@ struct context_state {
   // --- submission pipeline observers (submit.cpp, DESIGN.md §13) ---
 
   /// Registered pipeline observers (ctx.observe()). Non-empty observers
-  /// force the slow path: op records are built and emitted under `mu`.
+  /// force the slow path: op records are built and emitted under the
+  /// context lock.
   std::vector<submit_observer*> observers;
 
   /// The context-owned DOT exporter, when enabled via ctx.enable_dot() or
@@ -244,7 +228,7 @@ struct context_state {
   std::unique_ptr<dot_exporter> dot;
 
   /// Monotonic op id for pipeline records (observers registered ⇒ slow
-  /// path ⇒ incremented under `mu`).
+  /// path ⇒ incremented under the context lock).
   std::uint64_t next_op_id = 1;
 };
 

@@ -3,9 +3,9 @@
 // several devices (Fig. 6). The body receives a thread_hierarchy handle and
 // one typed view per dependency.
 //
-// Like the other builders, this one only lowers: op_desc + hooks into the
-// staged pipeline (submit.{hpp,cpp}, DESIGN.md §13). The construct-specific
-// parts kept here are the hierarchy dispatch and the launch cost model.
+// Like the other builders, this one only lowers through the shared
+// builder_core (DESIGN.md §13). The construct-specific parts kept here are
+// the hierarchy sub-launches and the launch cost model.
 #pragma once
 
 #include <atomic>
@@ -24,8 +24,8 @@ class [[nodiscard]] launch_builder {
  public:
   launch_builder(std::shared_ptr<context_state> st, hierarchy_spec spec,
                  exec_place where, Deps... deps)
-      : st_(std::move(st)), spec_(spec), where_(std::move(where)),
-        deps_(std::move(deps)...) {}
+      : core_{std::move(st), std::move(where), {std::move(deps)...}},
+        spec_(spec) {}
 
   launch_builder&& set_symbol(std::string s) && {
     symbol_ = std::move(s);
@@ -44,130 +44,38 @@ class [[nodiscard]] launch_builder {
     return std::move(*this);
   }
 
+  /// Structured constructs span grids / composite places: always
+  /// structural (DESIGN.md §11).
   template <class Fn>
   void operator->*(Fn&& fn) && {
-    // Structured constructs span grids / composite places: structural, so
-    // MT submission takes the exclusive gate (DESIGN.md §11).
-    detail::gate_exclusive xg(st_->gate,
-                              st_->mt_active.load(std::memory_order_acquire));
-    std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::launch;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    op.deadline = deadline_;
-    detail::submit_pipeline pipe(*st_, op);
-    // The requeue closure copies the builder before plan/bind mutate the
-    // requested places, so a replay/retry re-enters verbatim.
-    pipe.stage_admission(pipe.needs_requeue()
-                             ? detail::make_requeue(*this, fn)
-                             : std::function<void()>{});
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_grid(h);
+    core_.submit(
+        *this, fn,
+        {.kind = op_kind::launch, .symbol = &symbol_, .deadline = deadline_},
+        [](detail::submit_pipeline& pipe, detail::op_hooks& h) {
+          pipe.execute_grid(h);
+        });
   }
 
  private:
-  /// Pipeline hooks closing over this builder's typed dependency tuple.
-  template <class Fn>
-  struct hooks_t final : detail::op_hooks {
-    launch_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
-    std::array<data_place, sizeof...(Deps)> orig{};
-    Fn* fn;
+  friend struct detail::builder_core<Deps...>;
 
-    hooks_t(launch_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_) {
-      resolved = res.data();
-      b.save_places(orig);
-    }
-
-    std::vector<int> plan() override {
-      // Restore the originally-requested places first: a retry after a
-      // device loss re-binds against the current survivors.
-      b.restore_places(orig);
-      return detail::resolve_devices(b.where_, *b.st_->plat);
-    }
-
-    void bind(const std::vector<int>& devices) override {
-      if (devices.size() > 1) {
-        detail::gridify_places(b.deps_, detail::default_composite(devices),
-                               std::index_sequence_for<Deps...>{});
-      }
-    }
-
-    event_list acquire(int lead_device) override {
-      return detail::acquire_all(*b.st_, lead_device, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int* devices, std::size_t ndev, const event_list& ready,
-             event_list& done, detail::resilient_result* rr) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      for (std::size_t i = 0; i < ndev; ++i) {
-        detail::resilient_result r;
-        b.run_device_shard(pipe, *fn, views, res, devices, ndev, i, ready,
-                           done, rr != nullptr ? &r : nullptr);
-        if (rr != nullptr && r.status != cudasim::sim_status::success) {
-          *rr = r;
-          return;
-        }
-      }
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
-    }
-  };
-
-  void save_places(std::array<data_place, sizeof...(Deps)>& out) const {
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((out[idx++] = d.untyped.place), ...); },
-               deps_);
-  }
-
-  void restore_places(const std::array<data_place, sizeof...(Deps)>& in) {
-    std::size_t idx = 0;
-    std::apply([&](auto&... d) { ((d.untyped.place = in[idx++]), ...); },
-               deps_);
-  }
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
-
-  /// Builds and submits the sub-launch of device shard `i`, then hands it
-  /// to the pipeline's run stage.
+  /// Builds and submits the sub-launch of device shard `a.i`.
   template <class Fn, class Views>
-  void run_device_shard(detail::submit_pipeline& pipe, Fn& fn, Views& views,
-                        const std::array<data_place, sizeof...(Deps)>& resolved,
-                        const int* devices, std::size_t n_devices,
-                        std::size_t i, const event_list& ready,
-                        event_list& done, detail::resilient_result* rr) {
-    constexpr auto seq = std::index_sequence_for<Deps...>{};
-    const auto ndev = static_cast<int>(n_devices);
+  void run_shard(const detail::shard_args& a, Fn& fn, Views& views) {
+    const auto ndev = static_cast<int>(a.ndev);
     cudasim::kernel_desc k;
     k.name = symbol_;
     k.flops = flops_ / efficiency_ / ndev;
     // Traffic model: each device touches the blocked 1/ndev share of each
     // dependency — consistent with the default partitioning strategy the
     // hierarchy applies (§V-3) and the composite page mapping (§VI-B).
-    const double f0 = static_cast<double>(i) / ndev;
-    const double f1 = static_cast<double>(i + 1) / ndev;
-    detail::add_all_traffic(k, resolved, deps_, f0, f1, devices[i], seq);
+    const double f0 = static_cast<double>(a.i) / ndev;
+    const double f1 = static_cast<double>(a.i + 1) / ndev;
+    detail::add_all_traffic(k, a.resolved, core_.deps, f0, f1, a.devices[a.i],
+                            core_.seq);
     k.bytes /= efficiency_;
-    cudasim::platform* plat = st_->plat;
-    const int rank = static_cast<int>(i);
+    cudasim::platform* plat = core_.st->plat;
+    const int rank = static_cast<int>(a.i);
     // By value: the body runs at drain time, after this frame is gone.
     std::function<void()> body = plat->kernel_body(
         [fn, views, spec = spec_, rank, ndev]() mutable {
@@ -178,13 +86,11 @@ class [[nodiscard]] launch_builder {
     auto payload = [plat, k, body](cudasim::stream& s) {
       plat->launch_kernel(s, k, body);
     };
-    pipe.run_shard(devices[i], ready, payload, done, rr);
+    a.pipe.run_shard(a.devices[a.i], a.ready, payload, a.done, a.rr);
   }
 
-  std::shared_ptr<context_state> st_;
+  detail::builder_core<Deps...> core_;
   hierarchy_spec spec_;
-  exec_place where_;
-  std::tuple<Deps...> deps_;
   std::string symbol_ = "launch";
   double deadline_ = 0.0;
   double flops_ = 0.0;

@@ -4,16 +4,15 @@
 // affine data moves to a composite data place (§VI), so the same body runs
 // unchanged on one or many devices.
 //
-// Like task.hpp, this builder only lowers: op_desc + hooks into the staged
-// pipeline (submit.{hpp,cpp}, DESIGN.md §13). The construct-specific parts
-// kept here are the shape partitioning, the kernel cost model and the
-// generated kernel bodies.
+// Like task.hpp, this builder only lowers through the shared builder_core
+// (DESIGN.md §13). The construct-specific parts kept here are the shape
+// partitioning, the kernel cost model, the generated kernel bodies and the
+// host branch.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "cudastf/context_state.hpp"
@@ -23,16 +22,9 @@
 
 namespace cudastf::detail {
 
-/// Devices targeted by an execution place (grid resolution).
-std::vector<int> resolve_devices(const exec_place& where,
-                                 cudasim::platform& plat);
-
 /// The context-wide blocked partitioner used for default composite places
 /// (shared so equal composite places compare equal across tasks, §VI-C).
 std::shared_ptr<const partitioner> default_partitioner();
-
-/// Composite data place over `devices` with the default partitioner.
-data_place default_composite(const std::vector<int>& devices);
 
 /// Adds the traffic of one dependency's byte range [b0, b1) (fractions of
 /// the instance) to a kernel descriptor as local/remote/host bytes from the
@@ -42,21 +34,10 @@ void add_dep_traffic(cudasim::kernel_desc& k, const task_dep_untyped& dep,
                      int device);
 
 template <class... Deps, std::size_t... I>
-void add_all_traffic(cudasim::kernel_desc& k,
-                     const std::array<data_place, sizeof...(Deps)>& resolved,
+void add_all_traffic(cudasim::kernel_desc& k, const data_place* resolved,
                      const std::tuple<Deps...>& deps, double f0, double f1,
                      int device, std::index_sequence<I...>) {
   (add_dep_traffic(k, std::get<I>(deps).untyped, resolved[I], f0, f1, device),
-   ...);
-}
-
-/// Rebinds affine places to the composite default when running on a grid.
-template <class... Deps, std::size_t... I>
-void gridify_places(std::tuple<Deps...>& deps, const data_place& composite,
-                    std::index_sequence<I...>) {
-  ((std::get<I>(deps).untyped.place.is_affine()
-        ? void(std::get<I>(deps).untyped.place = composite)
-        : void()),
    ...);
 }
 
@@ -75,8 +56,8 @@ class [[nodiscard]] parallel_for_builder {
  public:
   parallel_for_builder(std::shared_ptr<context_state> st, exec_place where,
                        box<R> shape, Deps... deps)
-      : st_(std::move(st)), where_(std::move(where)), shape_(shape),
-        deps_(std::move(deps)...) {}
+      : core_{std::move(st), std::move(where), {std::move(deps)...}},
+        shape_(shape) {}
 
   parallel_for_builder&& set_symbol(std::string s) && {
     symbol_ = std::move(s);
@@ -101,137 +82,47 @@ class [[nodiscard]] parallel_for_builder {
     return std::move(*this);
   }
 
+  /// Structured constructs span grids / composite places: always
+  /// structural (DESIGN.md §11).
   template <class Fn>
   void operator->*(Fn&& fn) && {
-    // Structured constructs span grids / composite places: structural, so
-    // MT submission takes the exclusive gate (DESIGN.md §11).
-    detail::gate_exclusive xg(st_->gate,
-                              st_->mt_active.load(std::memory_order_acquire));
-    std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::parallel_for;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    op.deadline = deadline_;
-    const bool host = where_.is_host();
-    if (host) {
-      op.channel = backend_iface::channel::host;
-    }
-    detail::submit_pipeline pipe(*st_, op);
-    // The requeue closure copies the builder before plan/bind mutate the
-    // requested places, so a replay/retry re-enters verbatim.
-    pipe.stage_admission(pipe.needs_requeue()
-                             ? detail::make_requeue(*this, fn)
-                             : std::function<void()>{});
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn, host);
-    if (host) {
-      pipe.execute_host(h);
-      return;
-    }
-    pipe.execute_grid(h);
+    const bool host = core_.where.is_host();
+    core_.submit(*this, fn,
+                 {.kind = op_kind::parallel_for,
+                  .symbol = &symbol_,
+                  .channel = host ? backend_iface::channel::host
+                                  : backend_iface::channel::compute,
+                  .deadline = deadline_},
+                 [host](detail::submit_pipeline& pipe, detail::op_hooks& h) {
+                   if (host) {
+                     pipe.execute_host(h);
+                   } else {
+                     pipe.execute_grid(h);
+                   }
+                 });
   }
 
  private:
-  /// Pipeline hooks closing over this builder's typed dependency tuple.
-  template <class Fn>
-  struct hooks_t final : detail::op_hooks {
-    parallel_for_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
-    std::array<data_place, sizeof...(Deps)> orig{};
-    Fn* fn;
-    bool host;
+  friend struct detail::builder_core<Deps...>;
 
-    hooks_t(parallel_for_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_,
-            bool host_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_), host(host_) {
-      resolved = res.data();
-      b.save_places(orig);
-    }
-
-    std::vector<int> plan() override {
-      // Restore the originally-requested places first: a retry after a
-      // device loss re-binds against the current survivors.
-      b.restore_places(orig);
-      return detail::resolve_devices(b.where_, *b.st_->plat);
-    }
-
-    void bind(const std::vector<int>& devices) override {
-      if (devices.size() > 1) {
-        detail::gridify_places(b.deps_, detail::default_composite(devices),
-                               std::index_sequence_for<Deps...>{});
-      }
-    }
-
-    event_list acquire(int lead_device) override {
-      return detail::acquire_all(*b.st_, lead_device, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int* devices, std::size_t ndev, const event_list& ready,
-             event_list& done, detail::resilient_result* rr) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      if (host) {
-        b.run_host(pipe, *fn, views, ready, done, rr);
-        return;
-      }
-      for (std::size_t i = 0; i < ndev; ++i) {
-        detail::resilient_result r;
-        b.run_device_shard(pipe, *fn, views, res, devices, ndev, i, ready,
-                           done, rr != nullptr ? &r : nullptr);
-        if (rr != nullptr && r.status != cudasim::sim_status::success) {
-          *rr = r;
-          return;
-        }
-      }
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
-    }
-  };
-
-  void save_places(std::array<data_place, sizeof...(Deps)>& out) const {
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((out[idx++] = d.untyped.place), ...); },
-               deps_);
-  }
-
-  void restore_places(const std::array<data_place, sizeof...(Deps)>& in) {
-    std::size_t idx = 0;
-    std::apply([&](auto&... d) { ((d.untyped.place = in[idx++]), ...); },
-               deps_);
-  }
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
-
-  /// Builds and submits the generated kernel of shard `i` over `devices`
-  /// (blocked partition of the shape, §V-3), then hands it to the
-  /// pipeline's run stage.
   template <class Fn, class Views>
-  void run_device_shard(detail::submit_pipeline& pipe, Fn& fn, Views& views,
-                        const std::array<data_place, sizeof...(Deps)>& resolved,
-                        const int* devices, std::size_t ndev, std::size_t i,
-                        const event_list& ready, event_list& done,
-                        detail::resilient_result* rr) {
-    constexpr auto seq = std::index_sequence_for<Deps...>{};
+  void run_shard(const detail::shard_args& a, Fn& fn, Views& views) {
+    if (core_.where.is_host()) {
+      run_host(a, fn, views);
+    } else {
+      run_device_shard(a, fn, views);
+    }
+  }
+
+  /// Builds and submits the generated kernel of shard `a.i` over
+  /// `a.devices` (blocked partition of the shape, §V-3).
+  template <class Fn, class Views>
+  void run_device_shard(const detail::shard_args& a, Fn& fn, Views& views) {
     const std::size_t total = shape_.size();
     const blocked_partitioner blocked;
-    const auto span = blocked.assign(total, i, ndev);
+    const auto span = blocked.assign(total, a.i, a.ndev);
     const std::size_t elems = span.end - span.begin;
-    if (elems == 0 && ndev > 1) {
+    if (elems == 0 && a.ndev > 1) {
       return;  // empty shard of a grid split: nothing to submit
     }
     cudasim::kernel_desc k;
@@ -244,10 +135,11 @@ class [[nodiscard]] parallel_for_builder {
           static_cast<double>(span.begin) / static_cast<double>(total);
       const double f1 =
           static_cast<double>(span.end) / static_cast<double>(total);
-      detail::add_all_traffic(k, resolved, deps_, f0, f1, devices[i], seq);
+      detail::add_all_traffic(k, a.resolved, core_.deps, f0, f1,
+                              a.devices[a.i], core_.seq);
       k.bytes /= efficiency_;
     }
-    cudasim::platform* plat = st_->plat;
+    cudasim::platform* plat = core_.st->plat;
     // By value: the body runs at drain time, after this frame is gone.
     std::function<void()> body =
         plat->kernel_body([fn, views, shape = shape_, span]() mutable {
@@ -261,16 +153,14 @@ class [[nodiscard]] parallel_for_builder {
     auto payload = [plat, k, body](cudasim::stream& s) {
       plat->launch_kernel(s, k, body);
     };
-    pipe.run_shard(devices[i], ready, payload, done, rr);
+    a.pipe.run_shard(a.devices[a.i], a.ready, payload, a.done, a.rr);
   }
 
-  /// Host execution (where_.is_host()): the whole shape runs as one host
+  /// Host execution (where is the host): the whole shape runs as one host
   /// callback at drain time.
   template <class Fn, class Views>
-  void run_host(detail::submit_pipeline& pipe, Fn& fn, Views& views,
-                const event_list& ready, event_list& done,
-                detail::resilient_result* rr) {
-    cudasim::platform* plat = st_->plat;
+  void run_host(const detail::shard_args& a, Fn& fn, Views& views) {
+    cudasim::platform* plat = core_.st->plat;
     auto shape = shape_;
     // By value: the callback runs at drain time, after this frame is gone.
     auto payload = [plat, fn, views, shape](cudasim::stream& s) mutable {
@@ -282,13 +172,11 @@ class [[nodiscard]] parallel_for_builder {
         }
       });
     };
-    pipe.run_shard(0, ready, payload, done, rr);
+    a.pipe.run_shard(0, a.ready, payload, a.done, a.rr);
   }
 
-  std::shared_ptr<context_state> st_;
-  exec_place where_;
+  detail::builder_core<Deps...> core_;
   box<R> shape_;
-  std::tuple<Deps...> deps_;
   std::string symbol_ = "parallel_for";
   double deadline_ = 0.0;
   double flops_per_elem_ = 2.0;

@@ -159,10 +159,10 @@ class dot_exporter final : public submit_observer {
 
 namespace cudastf::detail {
 
-/// Per-submission callbacks a builder hands to the pipeline. Implemented by
-/// a stack-allocated struct inside each builder (virtual dispatch, no
-/// per-submission allocation), closing over the builder's typed dependency
-/// tuple — the pipeline itself never sees the types.
+/// Per-submission callbacks a builder hands to the pipeline. Implemented
+/// once, by the stack-allocated builder_core::hooks (task.hpp; virtual
+/// dispatch, no per-submission allocation), closing over the builder's
+/// typed dependency tuple — the pipeline itself never sees the types.
 struct op_hooks {
   virtual ~op_hooks() = default;
 
@@ -328,8 +328,8 @@ bool fast_path_armed(const context_state& st);
 bool fast_path_ready(const op_desc& op, int device, data_place* resolved);
 
 /// Cold epilogue of a failed fast-path submission: unpin, record with
-/// poison and rethrow `err`, under the exclusive gate + context lock (the
-/// caller re-locks before calling).
+/// poison and rethrow `err`, under the structural lock (the caller takes it
+/// before calling).
 [[gnu::cold]] [[noreturn]] void fast_submit_failure(
     context_state& st, const op_desc& op, int device,
     const std::exception_ptr& err);

@@ -3,20 +3,21 @@
 // accesses. The body receives a stream to enqueue work on plus one typed
 // view per dependency.
 //
-// Builders only *lower*: they reduce the typed dependency tuple to an
-// op_desc plus a hooks struct (acquire / run / release over the typed
-// views) and drive the shared staged pipeline in submit.{hpp,cpp}
-// (DESIGN.md §13). Engine logic — checkpoint logging, overload admission,
-// poison-cancel, retry/re-route, integrity verification, deadline
-// tracking — lives in the pipeline, not here.
+// Builders only *lower* (DESIGN.md §13). All four — task and host_launch
+// here, parallel_for and launch in their headers — go through the one
+// typed core below, detail::builder_core, into the shared staged pipeline
+// in submit.{hpp,cpp}. Engine logic — checkpoint logging, overload
+// admission, poison-cancel, retry/re-route, integrity verification,
+// deadline tracking — lives in the pipeline, not here.
 #pragma once
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "cudastf/context_state.hpp"
 #include "cudastf/logical_data.hpp"
@@ -56,6 +57,150 @@ auto make_views(const std::array<data_place, sizeof...(Deps)>& resolved,
       std::get<I>(deps).untyped.data->find_instance(resolved[I])->ptr)...);
 }
 
+/// Devices targeted by an execution place (grid resolution).
+std::vector<int> resolve_devices(const exec_place& where,
+                                 cudasim::platform& plat);
+
+/// Composite data place over `devices` with the default partitioner.
+data_place default_composite(const std::vector<int>& devices);
+
+/// Rebinds affine places to the composite default when running on a grid.
+template <class... Deps, std::size_t... I>
+void gridify_places(std::tuple<Deps...>& deps, const data_place& composite,
+                    std::index_sequence<I...>) {
+  ((std::get<I>(deps).untyped.place.is_affine()
+        ? void(std::get<I>(deps).untyped.place = composite)
+        : void()),
+   ...);
+}
+
+/// The run-stage arguments of shard `i` of `ndev` over `devices`, handed
+/// to a builder's run_shard().
+struct shard_args {
+  submit_pipeline& pipe;
+  const data_place* resolved;  ///< per-dependency places, filled by acquire
+  const int* devices;
+  std::size_t ndev;
+  std::size_t i;
+  const event_list& ready;
+  event_list& done;
+  resilient_result* rr;  ///< null on the plain (throwing) path
+};
+
+/// What every builder shares: the context, the execution place and the
+/// typed dependency tuple, and the lowering of one submission into the
+/// staged pipeline. A builder holds one as `core_`, names the core its
+/// friend (the hooks call its private run_shard()) and supplies
+///   template <class Fn, class Views>
+///   void run_shard(const shard_args&, Fn& fn, Views& views);
+/// which submits the payload of one shard through a.pipe.run_shard().
+template <class... Deps>
+struct builder_core {
+  using places = std::array<data_place, sizeof...(Deps)>;
+  static constexpr auto seq = std::index_sequence_for<Deps...>{};
+
+  std::shared_ptr<context_state> st;
+  exec_place where;
+  std::tuple<Deps...> deps;
+
+  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
+    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
+    std::size_t idx = 0;
+    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
+               deps);
+    return untyped;
+  }
+
+  places save_places() const {
+    places out;
+    std::size_t idx = 0;
+    std::apply([&](const auto&... d) { ((out[idx++] = d.untyped.place), ...); },
+               deps);
+    return out;
+  }
+
+  void restore_places(const places& in) {
+    std::size_t idx = 0;
+    std::apply([&](auto&... d) { ((d.untyped.place = in[idx++]), ...); },
+               deps);
+  }
+
+  /// The one op_hooks implementation, closing over the typed dependency
+  /// tuple: acquire, plan, bind and release are shared; run builds the
+  /// typed views and hands each shard to the builder's run_shard().
+  template <class Builder, class Fn>
+  struct hooks final : op_hooks {
+    builder_core& c;
+    Builder& b;
+    submit_pipeline& pipe;
+    Fn& fn;
+    places res;
+    std::optional<places> requested;  ///< grid ops: places before any bind
+
+    hooks(builder_core& c_, Builder& b_, submit_pipeline& pipe_, Fn& fn_)
+        : c(c_), b(b_), pipe(pipe_), fn(fn_) {
+      resolved = res.data();
+    }
+
+    std::vector<int> plan() override {
+      // Remember the requested places on the first round and restore them
+      // on every later one: a retry after a device loss re-binds against
+      // the current survivors.
+      if (requested) {
+        c.restore_places(*requested);
+      } else {
+        requested = c.save_places();
+      }
+      return resolve_devices(c.where, *c.st->plat);
+    }
+
+    void bind(const std::vector<int>& devices) override {
+      if (devices.size() > 1) {
+        gridify_places(c.deps, default_composite(devices), seq);
+      }
+    }
+
+    event_list acquire(int lead_device) override {
+      return acquire_all(*c.st, lead_device, res, c.deps, seq);
+    }
+
+    void run(const int* devices, std::size_t ndev, const event_list& ready,
+             event_list& done, resilient_result* rr) override {
+      auto views = make_views(res, c.deps, seq);
+      for (std::size_t i = 0; i < ndev; ++i) {
+        b.run_shard(
+            shard_args{pipe, res.data(), devices, ndev, i, ready, done, rr},
+            fn, views);
+        if (rr != nullptr && rr->status != cudasim::sim_status::success) {
+          return;  // *rr holds the failed shard's result
+        }
+      }
+    }
+
+    void release(const event_list& done) override {
+      release_all(*c.st, res, c.deps, done, seq);
+    }
+  };
+
+  /// Lowers one submission of builder `b` under the structural lock:
+  /// completes `op` with the untyped dependency array, runs the admission
+  /// stage and calls drive(pipe, hooks) with the construct's driver. The
+  /// requeue closure copies the builder before plan/bind mutate the
+  /// requested places, so a replay/retry re-enters verbatim.
+  template <class Builder, class Fn, class Drive>
+  void submit(Builder& b, Fn& fn, op_desc op, Drive&& drive) {
+    structural_lock lock(*st);
+    const auto untyped = make_untyped();
+    op.deps = untyped.data();
+    op.n_deps = untyped.size();
+    submit_pipeline pipe(*st, op);
+    pipe.stage_admission(pipe.needs_requeue() ? make_requeue(b, fn)
+                                              : std::function<void()>{});
+    hooks<Builder, Fn> h(*this, b, pipe, fn);
+    drive(pipe, h);
+  }
+};
+
 }  // namespace cudastf::detail
 
 namespace cudastf {
@@ -67,8 +212,7 @@ class [[nodiscard]] task_builder {
  public:
   task_builder(std::shared_ptr<context_state> st, exec_place where,
                Deps... deps)
-      : st_(std::move(st)), where_(std::move(where)),
-        deps_(std::move(deps)...) {}
+      : core_{std::move(st), std::move(where), {std::move(deps)...}} {}
 
   /// Names the task (shown in summaries; feeds graph memoization).
   task_builder&& set_symbol(std::string s) && {
@@ -104,129 +248,80 @@ class [[nodiscard]] task_builder {
     return std::move(*this);
   }
 
-  /// Submits the task. `fn` receives (stream&, views...).
+  /// Submits the task. `fn` receives (stream&, views...). While
+  /// parallel_submit workers are live (DESIGN.md §11), eligible tasks take
+  /// the sharded fast path; everything else — ineligible tasks and every
+  /// single-threaded submission — goes through the shared core.
   template <class Fn>
   void operator->*(Fn&& fn) && {
-    if (where_.is_grid()) {
+    if (core_.where.is_grid()) {
       throw std::logic_error(
           "cudastf: plain task() does not span device grids; use "
           "parallel_for or launch");
     }
-    if (where_.is_host()) {
+    if (core_.where.is_host()) {
       throw std::logic_error(
           "cudastf: use ctx.host_launch() for host-side tasks");
     }
-    if (st_->mt_active.load(std::memory_order_acquire)) [[unlikely]] {
-      // Multi-threaded submission (DESIGN.md §11): eligible tasks take the
-      // sharded fast path under the shared gate; anything ineligible
-      // (checkpointing, integrity, faults, allocation/transfer needed, ...)
-      // falls back to the exact single-threaded body under the exclusive
-      // gate, where it runs unchanged.
-      if (try_submit_fast(fn)) {
-        return;
-      }
-      detail::gate_exclusive xg(st_->gate, true);
-      submit_locked(std::forward<Fn>(fn));
+    if (core_.st->mt_active.load(std::memory_order_acquire) &&
+        try_submit_fast(fn)) [[unlikely]] {
       return;
     }
-    submit_locked(std::forward<Fn>(fn));
+    core_.submit(*this, fn,
+                 {.kind = op_kind::task,
+                  .symbol = &symbol_,
+                  .deadline = deadline_,
+                  .verified = verified_,
+                  .shed = shed_},
+                 [&](detail::submit_pipeline& pipe, detail::op_hooks& h) {
+                   pipe.execute_task(h, pipe.choose_device(core_.where));
+                 });
   }
 
  private:
-  /// Pipeline hooks closing over this builder's typed dependency tuple.
-  template <class Fn>
-  struct hooks_t final : detail::op_hooks {
-    task_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
-    Fn* fn;
+  friend struct detail::builder_core<Deps...>;
 
-    hooks_t(task_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_) {
-      resolved = res.data();
-    }
-
-    event_list acquire(int lead_device) override {
-      return detail::acquire_all(*b.st_, lead_device, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int* devices, std::size_t, const event_list& ready,
-             event_list& done, detail::resilient_result* rr) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      // The body runs synchronously inside the backend submission, so the
-      // payload may reference the builder-frame callable by pointer.
-      auto payload = [f = fn, views](cudasim::stream& s) mutable {
-        std::apply([&](auto&... v) { (*f)(s, v...); }, views);
-      };
-      pipe.run_shard(devices[0], ready, payload, done, rr);
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
-    }
-  };
-
-  /// The pre-existing single-threaded submission entry, serialized by the
-  /// context lock (and, while parallel_submit workers are live, by the
-  /// exclusive gate taken in operator->*). Lowers to an op_desc and hands
-  /// the staged pipeline the hooks.
-  template <class Fn>
-  void submit_locked(Fn&& fn) {
-    std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::task;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    op.deadline = deadline_;
-    op.verified = verified_;
-    op.shed = shed_;
-    detail::submit_pipeline pipe(*st_, op);
-    pipe.stage_admission(pipe.needs_requeue()
-                             ? detail::make_requeue(*this, fn)
-                             : std::function<void()>{});
-    const int device = pipe.choose_device(where_);
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_task(h, device);
+  template <class Fn, class Views>
+  void run_shard(const detail::shard_args& a, Fn& fn, Views& views) {
+    // The body runs synchronously inside the backend submission, so the
+    // payload may reference the builder-frame callable by pointer.
+    auto payload = [f = &fn, views](cudasim::stream& s) mutable {
+      std::apply([&](auto&... v) { (*f)(s, v...); }, views);
+    };
+    a.pipe.run_shard(a.devices[0], a.ready, payload, a.done, a.rr);
   }
 
   /// Sharded fast-path submission (DESIGN.md §11): holds the gate shared
   /// and only the deps' stripe mutexes — never the context lock — across
   /// acquire -> backend run -> release (two-phase locking). Returns false,
   /// without submitting, when the task is ineligible: the caller then
-  /// retries through the exclusive gate on the unchanged slow path.
+  /// submits through the core, under the structural lock.
   template <class Fn>
   bool try_submit_fast(Fn& fn) {
+    context_state& st = *core_.st;
     // A structural operation submitting tasks while it holds the gate
     // exclusively (epoch replay) must not take the shared side against
     // itself; the exclusive side is reentrant, so fall through to it.
-    if (st_->gate.held_exclusive_by_me()) {
+    if (st.gate.held_exclusive_by_me()) {
       return false;
     }
+    const exec_place& where = core_.where;
     if (verified_ || deadline_ > 0.0 || shed_ ||
-        where_.type() == exec_place::kind::automatic) {
+        where.type() == exec_place::kind::automatic) {
       return false;  // dual execution / deadline / HEFT mutation: structural
     }
-    context_state& st = *st_;
     detail::gate_shared sg(st.gate);
     if (!detail::fast_path_armed(st)) {
       return false;  // a structural engine or observer is armed
     }
-    const int device = where_.type() == exec_place::kind::device
-                           ? where_.device_index()
+    const int device = where.type() == exec_place::kind::device
+                           ? where.device_index()
                            : st.plat->current_device();
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::task;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
+    const auto untyped = core_.make_untyped();
+    const op_desc op{.kind = op_kind::task,
+                     .symbol = &symbol_,
+                     .deps = untyped.data(),
+                     .n_deps = untyped.size()};
     detail::stripe_lock stripes;
     for (const task_dep_untyped* d : untyped) {
       if (!stripes.add(&st.stripe_for(d->data.get()))) {
@@ -241,8 +336,9 @@ class [[nodiscard]] task_builder {
     }
     std::exception_ptr err;
     try {
-      event_list ready = detail::acquire_all(st, device, resolved, deps_, seq);
-      auto views = detail::make_views(resolved, deps_, seq);
+      event_list ready =
+          detail::acquire_all(st, device, resolved, core_.deps, seq);
+      auto views = detail::make_views(resolved, core_.deps, seq);
       auto payload = [fn = std::forward<Fn>(fn),
                       views](cudasim::stream& s) mutable {
         std::apply([&](auto&... v) { fn(s, v...); }, views);
@@ -251,33 +347,22 @@ class [[nodiscard]] task_builder {
           st.backend->run(device, backend_iface::channel::compute, ready,
                           payload, symbol_);
       const event_list done_list(std::move(done));
-      detail::release_all(st, resolved, deps_, done_list, seq);
+      detail::release_all(st, resolved, core_.deps, done_list, seq);
       st.fast_submits += 1;
       return true;
     } catch (...) {
       err = std::current_exception();
     }
     // Failure epilogue: drop the stripes and the shared gate, then record
-    // under the exclusive gate + context lock like the slow path would,
-    // and rethrow the original exception.
+    // under the structural lock like the slow path would, and rethrow the
+    // original exception.
     stripes.unlock();
     sg.unlock();
-    detail::gate_exclusive xg(st.gate, true);
-    std::lock_guard lock(st.mu);
+    detail::structural_lock lock(st);
     detail::fast_submit_failure(st, op, device, err);
   }
 
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
-
-  std::shared_ptr<context_state> st_;
-  exec_place where_;
-  std::tuple<Deps...> deps_;
+  detail::builder_core<Deps...> core_;
   std::string symbol_ = "task";
   bool verified_ = false;  ///< dual-execution voting requested (.verified())
   double deadline_ = 0.0;  ///< per-task deadline, virtual seconds (0 = none)
@@ -291,7 +376,7 @@ template <class... Deps>
 class [[nodiscard]] host_launch_builder {
  public:
   host_launch_builder(std::shared_ptr<context_state> st, Deps... deps)
-      : st_(std::move(st)), deps_(std::move(deps)...) {}
+      : core_{std::move(st), exec_place::host(), {std::move(deps)...}} {}
 
   host_launch_builder&& set_symbol(std::string s) && {
     symbol_ = std::move(s);
@@ -304,87 +389,40 @@ class [[nodiscard]] host_launch_builder {
     return std::move(*this);
   }
 
+  /// Host tasks are rare and touch the host stream + deferred-free
+  /// machinery: always structural (DESIGN.md §11).
   template <class Fn>
   void operator->*(Fn&& fn) && {
-    // Host tasks are rare and touch the host stream + deferred-free
-    // machinery: always structural, so MT submission takes the exclusive
-    // gate (DESIGN.md §11).
-    detail::gate_exclusive xg(st_->gate,
-                              st_->mt_active.load(std::memory_order_acquire));
-    std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::host;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    op.channel = backend_iface::channel::host;
-    detail::submit_pipeline pipe(*st_, op);
-    pipe.stage_admission(pipe.needs_requeue()
-                             ? detail::make_requeue(*this, fn)
-                             : std::function<void()>{});
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_host(h);
+    core_.submit(*this, fn,
+                 {.kind = op_kind::host,
+                  .symbol = &symbol_,
+                  .channel = backend_iface::channel::host},
+                 [](detail::submit_pipeline& pipe, detail::op_hooks& h) {
+                   pipe.execute_host(h);
+                 });
   }
 
  private:
-  template <class Fn>
-  struct hooks_t final : detail::op_hooks {
-    host_launch_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
-    Fn* fn;
+  friend struct detail::builder_core<Deps...>;
 
-    hooks_t(host_launch_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_) {
-      resolved = res.data();
-    }
-
-    event_list acquire(int) override {
-      // Host tasks gather their inputs to the host; device-to-host copies
-      // remain allowed even from a failed device (evacuation grace), so a
-      // device loss rarely reaches this acquire.
-      return detail::acquire_all(*b.st_, -1, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int*, std::size_t, const event_list& ready,
-             event_list& done, detail::resilient_result* rr) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      cudasim::platform* plat = b.st_->plat;
-      const double cost = b.cost_;
-      // The host callback fires at DES drain time, long after the builder
-      // frame is gone: it must own a copy of the callable.
-      auto payload = [g = *fn, views, plat, cost](cudasim::stream& s) mutable {
-        plat->launch_host_func(
-            s,
-            [g, views]() mutable {
-              std::apply([&](auto&... v) { g(v...); }, views);
-            },
-            cost);
-      };
-      pipe.run_shard(0, ready, payload, done, rr);
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
-    }
-  };
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
+  template <class Fn, class Views>
+  void run_shard(const detail::shard_args& a, Fn& fn, Views& views) {
+    cudasim::platform* plat = core_.st->plat;
+    const double cost = cost_;
+    // The host callback fires at DES drain time, long after the builder
+    // frame is gone: it must own a copy of the callable.
+    auto payload = [g = fn, views, plat, cost](cudasim::stream& s) mutable {
+      plat->launch_host_func(
+          s,
+          [g, views]() mutable {
+            std::apply([&](auto&... v) { g(v...); }, views);
+          },
+          cost);
+    };
+    a.pipe.run_shard(0, a.ready, payload, a.done, a.rr);
   }
 
-  std::shared_ptr<context_state> st_;
-  std::tuple<Deps...> deps_;
+  detail::builder_core<Deps...> core_;
   std::string symbol_ = "host";
   double cost_ = 0.0;
 };

@@ -1,6 +1,6 @@
 // Multi-threaded submission primitives (DESIGN.md §11).
 //
-// Three building blocks keep concurrent host-side submission scalable
+// Four building blocks keep concurrent host-side submission scalable
 // without slowing the single-threaded path:
 //
 //  - relaxed_counter: per-thread statistic cells aggregated on read; the
@@ -10,15 +10,19 @@
 //    Sharded fast-path submissions hold it shared; structural operations
 //    (fence, finalize, data registration/destruction, allocation, recovery,
 //    every slow-path submission) hold it exclusive, and may recurse.
+//  - structural_lock: the one way a structural operation locks a context:
+//    the gate exclusively while parallel_submit workers are live, then the
+//    context lock. The context lock is private to it (context_locks).
 //  - stripe_lock: locks the per-logical-data stripe mutexes of one task's
 //    dependency set in canonical (address) order and holds them across
 //    acquire -> backend run -> release (two-phase locking), so two threads
 //    racing on shared data cannot interleave between a task's dependency
 //    acquisition and the recording of its completion events.
 //
-// Lock hierarchy (outer to inner): submit_gate -> data stripes -> backend
-// per-stream mutex -> platform driver lock. Each level only ever acquires
-// levels to its right.
+// Lock hierarchy (outer to inner): structural lock (submit_gate, then the
+// context lock) -> data stripes -> backend per-stream mutex -> platform
+// driver lock. Each level only ever acquires levels to its right; the fast
+// path holds the gate shared and never takes the context lock.
 #pragma once
 
 #include <algorithm>
@@ -109,26 +113,57 @@ class submit_gate {
   int depth_ = 0;  ///< touched only while holding mu_ exclusively
 };
 
-/// RAII exclusive section of a submit_gate, engaged only when `engaged` is
-/// true (i.e. multi-threaded submission is active). Single-threaded
-/// contexts construct this with engaged == false and pay one branch.
-class gate_exclusive {
+/// The locks behind a context (context_state derives from this). Only
+/// structural_lock takes the context lock, so every structural entry point
+/// takes the pair in the same order.
+class context_locks {
  public:
-  gate_exclusive(submit_gate& g, bool engaged) : g_(engaged ? &g : nullptr) {
-    if (g_ != nullptr) {
-      g_->lock();
-    }
-  }
-  ~gate_exclusive() {
-    if (g_ != nullptr) {
-      g_->unlock();
-    }
-  }
-  gate_exclusive(const gate_exclusive&) = delete;
-  gate_exclusive& operator=(const gate_exclusive&) = delete;
+  /// True while parallel_submit() workers are live. Every structural entry
+  /// point checks this one flag; single-threaded contexts pay a branch and
+  /// nothing else.
+  std::atomic<bool> mt_active{false};
+
+  /// Fast-path submissions hold this shared (they touch only their deps'
+  /// stripes plus thread-safe backend/platform state); structural
+  /// operations hold it exclusive through structural_lock, so the
+  /// single-threaded code bodies run unchanged under it. Engaged only while
+  /// mt_active.
+  submit_gate gate;
 
  private:
-  submit_gate* g_;
+  friend class structural_lock;
+
+  /// The context lock: serializes every structural operation, including
+  /// submissions from raw threads outside parallel_submit() (§VII-E).
+  /// Recursive because structural operations nest (finalize -> restart ->
+  /// replay -> submission).
+  std::recursive_mutex context_mu_;
+};
+
+/// RAII structural section of a context: the exclusive gate, engaged only
+/// while mt_active (single-threaded contexts pay one branch), then the
+/// context lock. Released in reverse order.
+class structural_lock {
+ public:
+  explicit structural_lock(context_locks& l)
+      : l_(l), gated_(l.mt_active.load(std::memory_order_acquire)) {
+    if (gated_) {
+      l_.gate.lock();
+    }
+    l_.context_mu_.lock();
+  }
+  ~structural_lock() {
+    l_.context_mu_.unlock();
+    if (gated_) {
+      l_.gate.unlock();
+    }
+  }
+  structural_lock(const structural_lock&) = delete;
+  structural_lock& operator=(const structural_lock&) = delete;
+
+ private:
+  context_locks& l_;
+  bool gated_;
 };
 
 /// RAII shared section of a submit_gate with early release.

@@ -597,6 +597,9 @@ void submit_pipeline::execute_grid(op_hooks& h) {
 }
 
 void submit_pipeline::execute_host(op_hooks& h) {
+  // Host ops gather their inputs to the host; device-to-host copies remain
+  // allowed even from a failed device (evacuation grace), so a device loss
+  // rarely reaches this acquire.
   const int host_dev = -1;
   execute_plain(h, &host_dev, 1, false);
 }

@@ -5,7 +5,6 @@
 // switched off.
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -78,7 +77,7 @@ TEST(TransferRouting, DisabledFallsBackToProtocolOrder) {
 // the instances' fill bookkeeping (-1 = host).
 std::vector<int> fill_sources(logical_data<slice<double>>& l, int ndev) {
   logical_data_impl& d = *l.impl();
-  std::lock_guard lock(d.ctx().mu);
+  detail::structural_lock lock(d.ctx());
   std::vector<int> out;
   for (int dev = 1; dev < ndev; ++dev) {
     const data_instance* inst = d.find_instance(data_place::device(dev));
@@ -188,7 +187,7 @@ TEST(TransferCoalesce, JoinsInFlightFill) {
   logical_data_impl& d = *lX.impl();
   context_state& st = d.ctx();
   {
-    std::lock_guard lock(st.mu);
+    detail::structural_lock lock(st);
     data_instance* inst = d.find_instance(data_place::device(1));
     ASSERT_NE(inst, nullptr);
     ASSERT_TRUE(inst->fill_pending);
@@ -214,7 +213,7 @@ TEST(TransferCoalesce, DisabledReissues) {
   logical_data_impl& d = *lX.impl();
   context_state& st = d.ctx();
   {
-    std::lock_guard lock(st.mu);
+    detail::structural_lock lock(st);
     data_instance* inst = d.find_instance(data_place::device(1));
     ASSERT_NE(inst, nullptr);
     inst->state = msi_state::invalid;
@@ -368,7 +367,7 @@ TEST(TransferHeft, ChargesP2pAndReadinessForPeerResidentSource) {
 
   context_state& st = lX.impl()->ctx();
   {
-    std::lock_guard lock(st.mu);
+    detail::structural_lock lock(st);
     // Busier than an old-model migration (2 ms > 840 us + work), idle peer.
     st.heft_load = {2.0e-3, 0.0};
   }
