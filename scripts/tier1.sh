@@ -30,7 +30,9 @@
 # simulated values only as well, so their stdout must match BENCH_fig8.txt,
 # BENCH_fig9.txt, BENCH_fig10.txt, BENCH_fig11.txt, BENCH_ablation_heft.txt
 # and BENCH_ablation_stream_pool.txt byte for byte. bench_fig7 prints
-# wall-clock times and is not diffed.
+# wall-clock times and is not diffed. --bench-smoke also runs perfbench's
+# taskbench_random (seed 3, traced) and fails when alloc.per_task, an exact
+# work counter, exceeds 1.2.
 #
 # --chaos additionally runs a seeded fault-injection soak: the checkpoint,
 # fault-injection and integrity (silent-corruption) suites loop over
@@ -132,6 +134,23 @@ task_overhead_guard() {
   fi
 }
 
+# Allocation guard: heap allocations per task are a deterministic work
+# counter, so they are gated exactly. perfbench's taskbench_random (seed 3,
+# traced) must stay at or below 1.2 allocations per task.
+alloc_guard() {
+  local per_task
+  per_task="$(cd "$repo" && python3 perfbench/run.py --workload taskbench_random \
+      --seed 3 --seconds 1 --trace 1 2>/dev/null | tail -n 1 |
+    python3 -c 'import json, sys
+print(json.load(sys.stdin)["metrics"]["alloc.per_task"]["value"])')" ||
+    return 1
+  echo "bench-smoke: alloc.per_task=$per_task (taskbench_random seed 3, limit 1.2)"
+  if ! awk -v a="$per_task" 'BEGIN { exit !(a <= 1.2) }'; then
+    echo "bench-smoke: alloc.per_task $per_task exceeds 1.2" >&2
+    return 1
+  fi
+}
+
 if [[ "$bench_smoke" == 1 ]]; then
   smoke_dir="$(mktemp -d)"
   trap 'rm -rf "$smoke_dir"' EXIT
@@ -169,6 +188,7 @@ if [[ "$bench_smoke" == 1 ]]; then
     gate "bench-smoke Table I µs/task guard" \
       task_overhead_guard "$smoke_dir/bench_table1_task_overhead.json"
   fi
+  gate "bench-smoke alloc.per_task guard" alloc_guard
 fi
 
 if [[ "$chaos" == 1 ]]; then

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <new>
 #include <stdexcept>
 
 namespace cudasim {
 
 timeline::~timeline() {
-  for (op_node* slab : slabs_) {
-    delete[] slab;
+  for (std::size_t si = 0; si < slabs_.size(); ++si) {
+    std::destroy_n(slabs_[si],
+                   si + 1 == slabs_.size() ? slab_used_ : slab_nodes);
+    ::operator delete(slabs_[si]);
   }
 }
 
@@ -37,10 +41,14 @@ op_node* timeline::make_node(std::string_view name, int device, engine* eng,
     node->t_end = 0.0;
   } else {
     if (slab_used_ == slab_nodes) {
-      slabs_.push_back(new op_node[slab_nodes]);
+      // Raw storage: each node is constructed when first handed out, so a
+      // fresh slab's pages are first touched one node at a time rather
+      // than all at once by whichever submission needs a new slab.
+      slabs_.push_back(
+          static_cast<op_node*>(::operator new(slab_nodes * sizeof(op_node))));
       slab_used_ = 0;
     }
-    node = &slabs_.back()[slab_used_++];
+    node = ::new (&slabs_.back()[slab_used_++]) op_node();
   }
   node->id = next_id_++;
   node->name = intern(name);

@@ -164,6 +164,9 @@ class platform {
 
   void stream_synchronize(stream& s);
   void synchronize();  ///< cudaDeviceSynchronize over the whole machine
+  /// Drains the simulation until the node behind `until` has completed (a
+  /// null or recycled handle already has).
+  void synchronize(node_ref until);
 
   /// Virtual clock: largest completion time processed so far. Call
   /// synchronize() first for a quiescent reading.

@@ -56,10 +56,11 @@ class stream {
   /// Makes future work on this stream wait for `e` (cudaStreamWaitEvent).
   void wait_event(const event& e);
 
-  /// Batched cudaStreamWaitEvent: future work on this stream waits for all
-  /// `n` events. Pending events are fused into a single join marker instead
-  /// of one marker per event, so the fast path creates at most one node.
-  void wait_events(const event* const* evs, std::size_t n);
+  /// Batched cudaStreamWaitEvent on recorded stream tails: future work on
+  /// this stream waits for all `n` nodes. Pending nodes are fused into a
+  /// single join marker instead of one marker per node, so the fast path
+  /// creates at most one node.
+  void wait_events(const node_ref* refs, std::size_t n);
 
   /// Blocks (drains the simulation) until all work submitted so far is done.
   void synchronize();

@@ -774,6 +774,14 @@ void platform::stream_synchronize(stream& s) {
   tl_.gc();
 }
 
+void platform::synchronize(node_ref until) {
+  std::lock_guard lock(mu_);
+  op_node* n = until.live();
+  if (n != nullptr && !n->done.load(std::memory_order_relaxed)) {
+    tl_.drain_until(n);
+  }
+}
+
 void platform::synchronize() {
   std::lock_guard lock(mu_);
   tl_.drain();

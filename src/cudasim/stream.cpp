@@ -23,11 +23,11 @@ stream::stream(platform& p, int device)
 }
 
 void stream::wait_event(const event& e) {
-  const event* p = &e;
-  wait_events(&p, 1);
+  const node_ref r = e.ref();
+  wait_events(&r, 1);
 }
 
-void stream::wait_events(const event* const* evs, std::size_t n) {
+void stream::wait_events(const node_ref* refs, std::size_t n) {
   if (capturing()) {
     throw std::logic_error(
         "cudasim: wait_event is not supported during capture; use graph "
@@ -42,7 +42,7 @@ void stream::wait_events(const event* const* evs, std::size_t n) {
   op_node* pending[chunk];
   std::size_t np = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    op_node* evn = evs[i]->ref().live();
+    op_node* evn = refs[i].live();
     if (evn == nullptr || evn->done.load(std::memory_order_relaxed) ||
         evn == tail) {
       continue;
@@ -104,14 +104,10 @@ void event::record(stream& s) {
 }
 
 void event::synchronize() {
-  std::lock_guard lock(plat_->mutex());
   if (!recorded_) {
     throw std::logic_error("cudasim: synchronizing an unrecorded event");
   }
-  op_node* n = node_.live();
-  if (n != nullptr && !n->done.load(std::memory_order_relaxed)) {
-    plat_->tl().drain_until(n);
-  }
+  plat_->synchronize(node_);
 }
 
 }  // namespace cudasim

@@ -1,8 +1,46 @@
-#include <stdexcept>
+#include <iterator>
 
 #include "cudastf/backend.hpp"
 
 namespace cudastf {
+
+namespace detail {
+
+event record_event(cudasim::stream& s) {
+  cudasim::event ev(s.owner());
+  ev.record(s);
+  return event::on_stream(ev.ref(), ev.record_stream_uid(), ev.record_seq());
+}
+
+void wait_stream_events(cudasim::stream& s, const event_list& l, bool fuse) {
+  // Pruned lists are tiny: one buffer covers everything the STF layer
+  // emits; a wider list is wired a buffer at a time.
+  cudasim::node_ref buf[16];
+  std::size_t n = 0;
+  for (const event& e : l) {
+    if (!e.is_stream()) {
+      continue;
+    }
+    buf[n++] = e.node;
+    if (!fuse || n == std::size(buf)) {
+      s.wait_events(buf, n);
+      n = 0;
+    }
+  }
+  if (n != 0) {
+    s.wait_events(buf, n);
+  }
+}
+
+void sync_stream_events(cudasim::platform& p, const event_list& l) {
+  for (const event& e : l) {
+    if (e.is_stream()) {
+      p.synchronize(e.node);
+    }
+  }
+}
+
+}  // namespace detail
 
 stream_backend::stream_backend(cudasim::platform& p, stream_pool_mode mode,
                                int pool_size)
@@ -67,9 +105,9 @@ stream_backend::picked stream_backend::pick(int device, channel ch) {
   return {&s, nullptr};
 }
 
-event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
-                              const std::function<void(cudasim::stream&)>& payload,
-                              std::string_view /*name*/, run_result* rr) {
+event stream_backend::run(int device, channel ch, const event_list& deps,
+                          const std::function<void(cudasim::stream&)>& payload,
+                          std::string_view /*name*/, run_result* rr) {
   const picked pk = pick(device, ch);
   // Hold the stream for the whole submission (deps -> payload -> record):
   // interleaving two tasks on one in-order stream would let the later
@@ -79,24 +117,7 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
     serial = std::unique_lock<std::mutex>(*pk.mu);
   }
   cudasim::stream& s = *pk.s;
-  // Wire all dependencies with one fused join instead of one marker per
-  // event (pruned lists are tiny; 16 covers everything the STF layer emits).
-  const cudasim::event* wait_buf[16];
-  std::size_t nwait = 0;
-  for (const event_ptr& e : deps) {
-    stream_event* se = as_stream_event(e);
-    if (se == nullptr) {
-      throw std::logic_error("cudastf: foreign event kind in stream backend");
-    }
-    wait_buf[nwait++] = &se->ev;
-    if (nwait == sizeof(wait_buf) / sizeof(wait_buf[0])) {
-      s.wait_events(wait_buf, nwait);
-      nwait = 0;
-    }
-  }
-  if (nwait != 0) {
-    s.wait_events(wait_buf, nwait);
-  }
+  detail::wait_stream_events(s, deps);
   deps_wired_hot_ += deps.size();
   // Snapshot the stream tail after dep wiring so a fault status set during
   // the payload can be classified: tail unchanged (or only a pure marker
@@ -124,10 +145,8 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
     rr->status = cudasim::sim_status::success;
     rr->partial = false;
   }
-  auto out = std::make_shared<stream_event>(*plat_);
-  out->ev.record(s);
   tasks_hot_ += 1;
-  return out;
+  return detail::record_event(s);
 }
 
 void* stream_backend::alloc_device(int device, std::size_t bytes,
@@ -137,32 +156,20 @@ void* stream_backend::alloc_device(int device, std::size_t bytes,
   if (p == nullptr) {
     return nullptr;
   }
-  auto ev = std::make_shared<stream_event>(*plat_);
-  ev->ev.record(s);
-  out.add(std::move(ev));
+  out.add(detail::record_event(s));
   return p;
 }
 
 void stream_backend::free_device(int device, void* p, const event_list& deps,
                                  event_list& dangling) {
   cudasim::stream& s = *dev_.at(static_cast<std::size_t>(device)).alloc;
-  for (const event_ptr& e : deps) {
-    if (auto* se = as_stream_event(e)) {
-      s.wait_event(se->ev);
-    }
-  }
+  detail::wait_stream_events(s, deps, /*fuse=*/false);
   plat_->free_async(p, s);
-  auto ev = std::make_shared<stream_event>(*plat_);
-  ev->ev.record(s);
-  dangling.add(std::move(ev));
+  dangling.add(detail::record_event(s));
 }
 
 void stream_backend::wait(const event_list& l) {
-  for (const event_ptr& e : l) {
-    if (auto* se = as_stream_event(e)) {
-      se->ev.synchronize();
-    }
-  }
+  detail::sync_stream_events(*plat_, l);
 }
 
 void stream_backend::wait_idle() { plat_->synchronize(); }

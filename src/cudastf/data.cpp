@@ -286,7 +286,7 @@ logical_data_impl::~logical_data_impl() {
         // every dependent operation has completed.
         void* p = inst->ptr;
         cudasim::platform* plat = st_->plat;
-        event_ptr ev = st_->backend->run(
+        const event ev = st_->backend->run(
             0, backend_iface::channel::host, deps,
             [plat, p](cudasim::stream& s) {
               plat->launch_host_func(s, [p] { ::operator delete(p); });
@@ -300,7 +300,7 @@ logical_data_impl::~logical_data_impl() {
         auto shared_resv = std::shared_ptr<cudasim::vmm::reservation>(
             std::move(inst->resv));
         cudasim::platform* plat = st_->plat;
-        event_ptr ev = st_->backend->run(
+        const event ev = st_->backend->run(
             0, backend_iface::channel::host, deps,
             [plat, shared_resv](cudasim::stream& s) {
               plat->launch_host_func(s, [shared_resv] {});

@@ -148,15 +148,18 @@ class backend_iface {
 
   /// Schedules `payload` after `deps`. The payload receives a stream bound
   /// to `device` (ignored for the host channel) and submits asynchronous
-  /// work to it; it must not block. Returns the completion event.
+  /// work to it; it must not block. Returns the completion event by value:
+  /// a stream event (recorded tail) on the stream backend, a graph event
+  /// (node of the epoch under construction) on the graph backend, or the
+  /// empty event when there is nothing to wait for.
   /// When `rr` is non-null the submission stream's sticky fault status is
   /// harvested into it (and cleared from the stream, since pooled streams
   /// are reused across unrelated tasks); with rr == nullptr a fault status
   /// is still cleared but otherwise ignored, preserving the fault-free
   /// fast path.
-  virtual event_ptr run(int device, channel ch, const event_list& deps,
-                        const std::function<void(cudasim::stream&)>& payload,
-                        std::string_view name, run_result* rr = nullptr) = 0;
+  virtual event run(int device, channel ch, const event_list& deps,
+                    const std::function<void(cudasim::stream&)>& payload,
+                    std::string_view name, run_result* rr = nullptr) = 0;
 
   /// Stream-ordered device allocation. Returns nullptr when the device pool
   /// is exhausted (the caller reacts, e.g. by evicting). On success appends
@@ -226,9 +229,9 @@ class stream_backend final : public backend_iface {
                           int pool_size = 4);
 
   cudasim::platform& plat() override { return *plat_; }
-  event_ptr run(int device, channel ch, const event_list& deps,
-                const std::function<void(cudasim::stream&)>& payload,
-                std::string_view name, run_result* rr = nullptr) override;
+  event run(int device, channel ch, const event_list& deps,
+            const std::function<void(cudasim::stream&)>& payload,
+            std::string_view name, run_result* rr = nullptr) override;
   void* alloc_device(int device, std::size_t bytes, event_list& out) override;
   void free_device(int device, void* p, const event_list& deps,
                    event_list& dangling) override;
@@ -287,9 +290,9 @@ class graph_backend final : public backend_iface {
   graph_backend(cudasim::platform& p, const retry_policy& retry);
 
   cudasim::platform& plat() override { return *plat_; }
-  event_ptr run(int device, channel ch, const event_list& deps,
-                const std::function<void(cudasim::stream&)>& payload,
-                std::string_view name, run_result* rr = nullptr) override;
+  event run(int device, channel ch, const event_list& deps,
+            const std::function<void(cudasim::stream&)>& payload,
+            std::string_view name, run_result* rr = nullptr) override;
   void* alloc_device(int device, std::size_t bytes, event_list& out) override;
   void free_device(int device, void* p, const event_list& deps,
                    event_list& dangling) override;
@@ -352,38 +355,24 @@ class graph_backend final : public backend_iface {
   /// nodes) and counts it in graph_execs_evicted.
   void evict_lru();
   const retry_policy& retry_;  ///< refused-epoch relaunch attempts/backoff
-  std::shared_ptr<backend_event> last_epoch_done_;  ///< stream_event of last flush
+  event last_epoch_done_;  ///< stream event recorded after the last launch
 };
 
-/// Concrete event types (exposed for tests).
-struct stream_event final : backend_event {
-  explicit stream_event(cudasim::platform& p)
-      : backend_event(event_kind::stream), ev(p) {}
-  cudasim::event ev;
+namespace detail {
 
-  bool completed() const override { return ev.query(); }
-  /// Simulated streams are in-order, so of two events recorded on the same
-  /// stream the later one dominates (§IV completed/duplicate pruning).
-  std::uint64_t lane() const override { return ev.record_stream_uid(); }
-  std::uint64_t seq() const override { return ev.record_seq(); }
-};
+/// Records the current tail of `s` as a stream event.
+event record_event(cudasim::stream& s);
 
-struct graph_node_event final : backend_event {
-  graph_node_event() : backend_event(event_kind::graph_node) {}
-  cudasim::graph_node node;
-  std::uint64_t epoch = 0;
-};
+/// Makes future work on `s` wait for every stream event of `l` (graph
+/// events are ordered by the epoch stream instead): fused into one join
+/// marker, or with `fuse` false one join per pending event, as the free
+/// and epoch-launch paths have always wired them.
+void wait_stream_events(cudasim::stream& s, const event_list& l,
+                        bool fuse = true);
 
-/// Tagged downcast helpers for the submission hot path (no RTTI).
-inline stream_event* as_stream_event(const event_ptr& e) {
-  return e->kind() == backend_event::event_kind::stream
-             ? static_cast<stream_event*>(e.get())
-             : nullptr;
-}
-inline graph_node_event* as_graph_event(const event_ptr& e) {
-  return e->kind() == backend_event::event_kind::graph_node
-             ? static_cast<graph_node_event*>(e.get())
-             : nullptr;
-}
+/// Blocks the host until every stream event of `l` has completed.
+void sync_stream_events(cudasim::platform& p, const event_list& l);
+
+}  // namespace detail
 
 }  // namespace cudastf

@@ -116,7 +116,7 @@ struct context_state : detail::context_locks {
   /// flight; pruned lazily against event completion. The routing score uses
   /// the per-source count as a copy-engine occupancy estimate.
   struct outbound_copy {
-    event_ptr done;   ///< completion of the copy's last segment
+    event done;       ///< completion of the copy's last segment
     int device = -1;  ///< source: device index, or -1 for the host
   };
   std::vector<outbound_copy> xfer_outbound;

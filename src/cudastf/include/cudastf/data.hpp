@@ -71,7 +71,7 @@ struct data_instance {
   double fill_ready_cost = 0.0;
   /// Per-chunk completion events of the fill; a tree child whose chunking
   /// matches depends chunk-by-chunk instead of on the whole fill.
-  std::vector<event_ptr> fill_chunks;
+  std::vector<event> fill_chunks;
 };
 
 /// Reference checksum of a logical data's contents at one write_version

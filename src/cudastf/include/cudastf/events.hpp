@@ -1,9 +1,13 @@
 // Abstract events and event lists (§IV). The entire core of CUDASTF is
 // organized around lists of abstract events: every asynchronous algorithm
 // takes a list of input events and returns a list of output events.
-// Backends materialize events differently — the stream backend as recorded
-// simulated CUDA events, the graph backend as graph-node handles — and the
-// coherence machinery never looks inside.
+//
+// An event is a plain, trivially copyable value: the stream backend's
+// events are a recorded stream tail (a generation-tagged DES node handle)
+// with the recording stream's uid and record sequence number, the graph
+// backend's are a node index in the graph of one epoch, and the empty
+// value means "nothing to wait for". The coherence machinery never looks
+// inside; copying an event or a list of them owns and counts nothing.
 //
 // Lists are small (typically 0–4 entries), so storage is an inline buffer
 // that only spills to the heap for pathological fan-in. Merging prunes
@@ -15,8 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
+#include <cstring>
+#include <type_traits>
+
+#include "cudasim/des.hpp"
 
 namespace cudastf {
 
@@ -34,47 +40,56 @@ inline fastpath_config& fastpath() {
   return cfg;
 }
 
-/// An abstract completion event. Concrete subclasses live in the backends.
-class backend_event {
- public:
-  /// Backend tag, replacing dynamic_cast on the submission hot path.
-  enum class event_kind : std::uint8_t { other, stream, graph_node };
+/// An abstract completion event (§IV), by value. Two events are duplicates
+/// when every field matches: the same record of the same stream, or the
+/// same node of the same epoch graph.
+struct event {
+  enum class kind_t : std::uint8_t { none, stream, graph };
 
-  virtual ~backend_event() = default;
+  kind_t kind = kind_t::none;
+  std::uint32_t index = 0;  ///< graph: node index in its epoch's graph
+  cudasim::node_ref node;   ///< stream: the recorded stream tail
+  /// Dominance key: stream events sharing a lane (the recording stream's
+  /// uid) are totally ordered by seq on that in-order stream, so the
+  /// largest seq subsumes the rest. Lane 0 means "not comparable".
+  std::uint64_t lane = 0;
+  std::uint64_t seq = 0;  ///< stream: record sequence; graph: the epoch
 
-  event_kind kind() const { return kind_; }
+  static event on_stream(cudasim::node_ref tail, std::uint64_t lane,
+                         std::uint64_t seq) {
+    return {kind_t::stream, 0, tail, lane, seq};
+  }
+  static event on_graph(std::uint32_t index, std::uint64_t epoch) {
+    return {kind_t::graph, index, {}, 0, epoch};
+  }
 
-  /// True once the work this event guards has completed; such events can be
-  /// dropped from any list.
-  virtual bool completed() const { return false; }
+  explicit operator bool() const { return kind != kind_t::none; }
+  bool is_stream() const { return kind == kind_t::stream; }
+  bool is_graph() const { return kind == kind_t::graph; }
+  std::uint64_t epoch() const { return seq; }
 
-  /// Dominance key: events sharing a nonzero lane() are totally ordered by
-  /// seq() (an in-order stream), so the largest seq() subsumes the rest.
-  /// Lane 0 means "not comparable".
-  virtual std::uint64_t lane() const { return 0; }
-  virtual std::uint64_t seq() const { return 0; }
+  /// True once the work this event guards has completed; such events can
+  /// be dropped from any list. Lock-free (node_ref::done()). Graph events
+  /// have no individual completion and never read completed.
+  bool completed() const { return is_stream() && node.done(); }
 
- protected:
-  backend_event() = default;
-  explicit backend_event(event_kind k) : kind_(k) {}
-
- private:
-  event_kind kind_ = event_kind::other;
+  friend bool operator==(const event&, const event&) = default;
 };
 
-using event_ptr = std::shared_ptr<backend_event>;
+static_assert(std::is_trivially_copyable_v<event>);
+static_assert(sizeof(event) <= 40);
 
 /// A list of abstract events; completion of the list means completion of
 /// every member. Inline capacity matches the "typically 0–4 entries"
-/// invariant; copies are refcount bumps, moves are pointer steals.
+/// invariant; copies are memcpys, moves steal a spilled buffer.
 class event_list {
  public:
   static constexpr std::size_t inline_capacity = 4;
 
   event_list() = default;
-  explicit event_list(event_ptr e) {
+  explicit event_list(event e) {
     if (e) {
-      data_[size_++] = std::move(e);
+      data_[size_++] = e;
     }
   }
 
@@ -82,14 +97,15 @@ class event_list {
   event_list(event_list&& o) noexcept { move_from(o); }
   event_list& operator=(const event_list& o) {
     if (this != &o) {
-      clear_storage();
+      size_ = 0;
       copy_from(o);
     }
     return *this;
   }
   event_list& operator=(event_list&& o) noexcept {
     if (this != &o) {
-      clear_storage();
+      release_heap();
+      size_ = 0;
       move_from(o);
     }
     return *this;
@@ -98,45 +114,41 @@ class event_list {
 
   /// Inserts `e` unless it is redundant. Returns the number of events this
   /// insertion pruned (the incoming one, or a dominated resident entry).
-  std::size_t add(event_ptr e) {
+  std::size_t add(event e) {
     if (!e) {
       return 0;
     }
     const bool prune = fastpath().prune;
     if (prune) {
-      if (e->completed()) {
+      if (e.completed()) {
         return 1;
       }
-      const std::uint64_t lane = e->lane();
       for (std::size_t i = 0; i < size_; ++i) {
-        event_ptr& cur = data_[i];
+        event& cur = data_[i];
         if (cur == e) {
           return 1;
         }
-        if (lane != 0 && cur->lane() == lane) {
-          if (e->seq() <= cur->seq()) {
-            return 1;  // incoming is (or is covered by) the resident event
+        if (e.lane != 0 && cur.lane == e.lane) {
+          if (e.seq > cur.seq) {
+            cur = e;  // incoming dominates the resident event
           }
-          cur = std::move(e);  // incoming dominates the resident event
-          return 1;
+          return 1;  // otherwise incoming is covered by the resident event
         }
       }
     }
+    std::size_t pruned = 0;
     if (size_ == cap_) {
       // Before spilling to the heap, try to compact away entries whose work
       // has since completed — lists usually stay within the inline buffer.
-      std::size_t pruned = 0;
       if (prune) {
         pruned = prune_completed_entries();
       }
       if (size_ == cap_) {
         grow(cap_ * 2);
       }
-      data_[size_++] = std::move(e);
-      return pruned;
     }
-    data_[size_++] = std::move(e);
-    return 0;
+    data_[size_++] = e;
+    return pruned;
   }
 
   /// l = merge(l, other) — the paper's fundamental composition primitive.
@@ -153,17 +165,11 @@ class event_list {
   std::size_t prune_completed_entries() {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < size_; ++i) {
-      if (!data_[i]->completed()) {
-        if (kept != i) {
-          data_[kept] = std::move(data_[i]);
-        }
-        ++kept;
+      if (!data_[i].completed()) {
+        data_[kept++] = data_[i];
       }
     }
     const std::size_t pruned = size_ - kept;
-    for (std::size_t i = kept; i < size_; ++i) {
-      data_[i].reset();
-    }
     size_ = kept;
     return pruned;
   }
@@ -174,25 +180,18 @@ class event_list {
     }
   }
 
-  void clear() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      data_[i].reset();
-    }
-    size_ = 0;
-  }
+  void clear() { size_ = 0; }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  const event_ptr* begin() const { return data_; }
-  const event_ptr* end() const { return data_ + size_; }
+  const event* begin() const { return data_; }
+  const event* end() const { return data_ + size_; }
 
  private:
   void grow(std::size_t new_cap) {
-    event_ptr* p = new event_ptr[new_cap];
-    for (std::size_t i = 0; i < size_; ++i) {
-      p[i] = std::move(data_[i]);
-    }
+    event* p = new event[new_cap];
+    std::memcpy(p, data_, size_ * sizeof(event));
     delete[] heap_;
     heap_ = p;
     data_ = p;
@@ -203,9 +202,7 @@ class event_list {
     if (o.size_ > cap_) {
       grow(o.size_);
     }
-    for (std::size_t i = 0; i < o.size_; ++i) {
-      data_[i] = o.data_[i];
-    }
+    std::memcpy(data_, o.data_, o.size_ * sizeof(event));
     size_ = o.size_;
   }
 
@@ -214,36 +211,27 @@ class event_list {
       heap_ = o.heap_;
       data_ = o.heap_;
       cap_ = o.cap_;
-      size_ = o.size_;
       o.heap_ = nullptr;
       o.data_ = o.inline_;
       o.cap_ = inline_capacity;
-      o.size_ = 0;
     } else {
-      for (std::size_t i = 0; i < o.size_; ++i) {
-        data_[i] = std::move(o.data_[i]);
-        o.data_[i].reset();
-      }
-      size_ = o.size_;
-      o.size_ = 0;
+      std::memcpy(data_, o.data_, o.size_ * sizeof(event));
     }
+    size_ = o.size_;
+    o.size_ = 0;
   }
 
-  /// Resets to the empty inline state (keeps no heap block).
-  void clear_storage() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      data_[i].reset();
-    }
-    size_ = 0;
+  /// Returns to the inline buffer (keeps no heap block).
+  void release_heap() {
     delete[] heap_;
     heap_ = nullptr;
     data_ = inline_;
     cap_ = inline_capacity;
   }
 
-  event_ptr inline_[inline_capacity];
-  event_ptr* heap_ = nullptr;
-  event_ptr* data_ = inline_;
+  event inline_[inline_capacity];
+  event* heap_ = nullptr;
+  event* data_ = inline_;
   std::size_t size_ = 0;
   std::size_t cap_ = inline_capacity;
 };

@@ -103,6 +103,8 @@ class integrity_engine {
 
 namespace detail {
 
+struct resilient_result;
+
 /// Records a data_corrupted failure, poisons the data and throws
 /// corruption_error carrying symbol/device/site/write_version. The
 /// submission engine catches it and escalates (epoch restart when
@@ -115,12 +117,16 @@ namespace detail {
 /// between runs — and accepts only when both executions agree on every
 /// written dependency's checksum. On disagreement a third run votes; with
 /// no majority throws corruption_error. Synchronous (waits on the
-/// backend). Returns the accepted run's completion events.
-event_list run_verified(context_state& st, int device, const event_list& ready,
-                        const std::function<void(cudasim::stream&)>& payload,
-                        std::string_view symbol,
-                        const task_dep_untyped* const* deps, std::size_t n,
-                        const data_place* resolved);
+/// backend). Each execution goes through run_resilient, so a clean
+/// refusal is retried under the retry policy; one it could not absorb
+/// ends the vote with the written data rewound, and its status is
+/// returned for the caller's ladder. On success merges the accepted run's
+/// completion events into `done`.
+resilient_result run_verified(
+    context_state& st, int device, const event_list& ready,
+    const std::function<void(cudasim::stream&)>& payload,
+    std::string_view symbol, const task_dep_untyped* const* deps,
+    std::size_t n, const data_place* resolved, event_list& done);
 
 /// RAII: declares the written dependencies' byte ranges to the simulator
 /// while a task submission is in flight, so an armed kernel_output bit

@@ -343,10 +343,9 @@ class [[nodiscard]] task_builder {
                       views](cudasim::stream& s) mutable {
         std::apply([&](auto&... v) { fn(s, v...); }, views);
       };
-      event_ptr done =
+      const event_list done_list(
           st.backend->run(device, backend_iface::channel::compute, ready,
-                          payload, symbol_);
-      const event_list done_list(std::move(done));
+                          payload, symbol_));
       detail::release_all(st, resolved, core_.deps, done_list, seq);
       st.fast_submits += 1;
       return true;

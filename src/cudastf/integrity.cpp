@@ -80,7 +80,7 @@ void integrity_engine::on_write_release(context_state& st,
   const std::size_t n = d.bytes();
   const std::uint64_t ver = d.write_version;
   cudasim::platform* plat = st.plat;
-  event_ptr ev = st.backend->run(
+  const event ev = st.backend->run(
       0, backend_iface::channel::host, done,
       [plat, entry, p, n, ver](cudasim::stream& s) {
         // The entry is shared: if the logical data dies before the body
@@ -99,7 +99,7 @@ void integrity_engine::on_write_release(context_state& st,
     // Membership in inst.readers makes frees wait for the checksum read;
     // membership in readers_since_write makes the next writer wait (WAR).
     inst.readers.add(ev);
-    d.readers_since_write.add(std::move(ev));
+    d.readers_since_write.add(ev);
   }
 }
 
@@ -264,11 +264,11 @@ void throw_corruption(context_state& st, logical_data_impl& d, int device,
   throw corruption_error(d.name(), device, site, d.write_version);
 }
 
-event_list run_verified(context_state& st, int device, const event_list& ready,
-                        const std::function<void(cudasim::stream&)>& payload,
-                        std::string_view symbol,
-                        const task_dep_untyped* const* deps, std::size_t n,
-                        const data_place* resolved) {
+resilient_result run_verified(
+    context_state& st, int device, const event_list& ready,
+    const std::function<void(cudasim::stream&)>& payload,
+    std::string_view symbol, const task_dep_untyped* const* deps,
+    std::size_t n, const data_place* resolved, event_list& done) {
   backend_stats& bs = st.backend->mutable_stats();
   // Inputs must be settled before the pre-images are readable; this also
   // settles every prior consumer of the written instances (ready carries
@@ -296,16 +296,6 @@ event_list run_verified(context_state& st, int device, const event_list& ready,
     wd.push_back(std::move(w));
   }
 
-  auto exec = [&](const event_list& wait_first) {
-    event_ptr ev = st.backend->run(device, backend_iface::channel::compute,
-                                   wait_first, payload, symbol);
-    event_list done;
-    if (ev) {
-      done.add(std::move(ev));
-    }
-    st.backend->wait(done);
-    return done;
-  };
   auto sums = [&] {
     std::vector<std::uint64_t> s;
     s.reserve(wd.size());
@@ -319,28 +309,53 @@ event_list run_verified(context_state& st, int device, const event_list& ready,
       std::memcpy(w.inst->ptr, w.pre.get(), w.bytes);
     }
   };
+  // One settled execution after the previous one. A refused execution
+  // never ran (or ran a prefix), so its checksums would vote for the
+  // pre-image: it ends the vote instead, rewound for whatever the ladder
+  // decides next.
+  event_list last = ready;
+  resilient_result r;
+  auto exec = [&] {
+    r = run_resilient(st, device, backend_iface::channel::compute, last,
+                      payload, symbol);
+    last.clear();
+    last.add(r.ev);
+    st.backend->wait(last);
+    if (r.status != cudasim::sim_status::success) {
+      rewind();
+      return false;
+    }
+    return true;
+  };
 
-  event_list done = exec(ready);
+  if (!exec()) {
+    return r;
+  }
   const std::vector<std::uint64_t> a = sums();
   rewind();
-  done = exec(done);
+  if (!exec()) {
+    return r;
+  }
   ++bs.verified_reexecutions;
   const std::vector<std::uint64_t> b = sums();
-  if (a == b) {
-    return done;
+  if (a != b) {
+    // The executions disagree: one of them absorbed a flip (or the body is
+    // non-deterministic). A third run votes; its bytes are the ones left
+    // in place, so a majority means the in-place result is the accepted
+    // one.
+    ++bs.checksum_mismatches;
+    rewind();
+    if (!exec()) {
+      return r;
+    }
+    ++bs.verified_reexecutions;
+    const std::vector<std::uint64_t> c = sums();
+    if (c != a && c != b) {
+      throw corruption_error(std::string(symbol), device, "dual_execution", 0);
+    }
   }
-  // The executions disagree: one of them absorbed a flip (or the body is
-  // non-deterministic). A third run votes; its bytes are the ones left in
-  // place, so a majority means the in-place result is the accepted one.
-  ++bs.checksum_mismatches;
-  rewind();
-  done = exec(done);
-  ++bs.verified_reexecutions;
-  const std::vector<std::uint64_t> c = sums();
-  if (c == a || c == b) {
-    return done;
-  }
-  throw corruption_error(std::string(symbol), device, "dual_execution", 0);
+  done.merge(last);
+  return r;
 }
 
 output_hint_guard::output_hint_guard(context_state& st,

@@ -296,13 +296,13 @@ namespace {
 /// Any reader/writer event of `inst` not yet retired in virtual time — the
 /// recycled block would stall its next consumer on those events.
 bool has_pending_events(const data_instance& inst) {
-  for (const event_ptr& e : inst.writer) {
-    if (e && !e->completed()) {
+  for (const event& e : inst.writer) {
+    if (!e.completed()) {
       return true;
     }
   }
-  for (const event_ptr& e : inst.readers) {
-    if (e && !e->completed()) {
+  for (const event& e : inst.readers) {
+    if (!e.completed()) {
       return true;
     }
   }

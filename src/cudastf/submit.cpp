@@ -522,10 +522,11 @@ void submit_pipeline::run_shard(int device, const event_list& ready,
                                     payload,
                                 event_list& done, resilient_result* rr) {
   if (wants_verified()) [[unlikely]] {
-    done.merge(detail::run_verified(st_, device, ready, payload, *op_.symbol,
-                                    op_.deps, op_.n_deps, resolved_));
+    const resilient_result r =
+        detail::run_verified(st_, device, ready, payload, *op_.symbol,
+                             op_.deps, op_.n_deps, resolved_, done);
     if (rr != nullptr) {
-      rr->status = cudasim::sim_status::success;
+      *rr = r;
     }
     return;
   }

@@ -157,13 +157,20 @@ TEST(Api, StatsCountersAdvance) {
 }
 
 TEST(Api, EventListMergeAndClear) {
+  cudasim::platform p(1, tdesc());
+  cudasim::stream s0(p), s1(p);
+  // Pending work on two streams: two distinct, uncomparable events.
+  p.launch_kernel(s0, {.name = "k"}, [] {});
+  p.launch_kernel(s1, {.name = "k"}, [] {});
+  const event e0 = detail::record_event(s0);
+  const event e1 = detail::record_event(s1);
+  ASSERT_NE(e0, e1);
   event_list a, b;
   EXPECT_TRUE(a.empty());
-  a.add(nullptr);  // null events are dropped
+  a.add(event{});  // empty events are dropped
   EXPECT_TRUE(a.empty());
-  struct dummy_event : backend_event {};
-  a.add(std::make_shared<dummy_event>());
-  b.add(std::make_shared<dummy_event>());
+  a.add(e0);
+  b.add(e1);
   b.merge(a);
   EXPECT_EQ(b.size(), 2u);
   // merged() deduplicates: b already contains a's event, so the result
@@ -171,6 +178,7 @@ TEST(Api, EventListMergeAndClear) {
   EXPECT_EQ(merged(a, b).size(), 2u);
   b.clear();
   EXPECT_TRUE(b.empty());
+  p.synchronize();
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // the invariant that pruning never changes simulated timelines.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "cudastf/cudastf.hpp"
@@ -26,40 +27,35 @@ struct fastpath_guard {
   ~fastpath_guard() { fastpath() = saved; }
 };
 
-// Records a pending stream_event on `s` (the stream must have undrained
+// Records a pending stream event on `s` (the stream must have undrained
 // work, otherwise the event completes immediately).
-std::shared_ptr<stream_event> record_on(cudasim::platform& p,
-                                        cudasim::stream& s) {
-  auto e = std::make_shared<stream_event>(p);
-  e->ev.record(s);
-  return e;
-}
+event record_on(cudasim::stream& s) { return detail::record_event(s); }
 
 TEST(Fastpath, SameStreamMergeKeepsOnlyLaterEvent) {
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   int hits = 0;
   p.launch_kernel(s, {.name = "k"}, [&] { ++hits; });
-  auto e1 = record_on(p, s);
+  auto e1 = record_on(s);
   p.launch_kernel(s, {.name = "k"}, [&] { ++hits; });
-  auto e2 = record_on(p, s);
-  ASSERT_FALSE(e1->completed());
-  ASSERT_EQ(e1->lane(), e2->lane());
-  ASSERT_LT(e1->seq(), e2->seq());
+  auto e2 = record_on(s);
+  ASSERT_FALSE(e1.completed());
+  ASSERT_EQ(e1.lane, e2.lane);
+  ASSERT_LT(e1.seq, e2.seq);
 
   // Earlier first: the later event replaces the resident one.
   event_list fwd;
   EXPECT_EQ(fwd.add(e1), 0u);
   EXPECT_EQ(fwd.add(e2), 1u);
   ASSERT_EQ(fwd.size(), 1u);
-  EXPECT_EQ((*fwd.begin())->seq(), e2->seq());
+  EXPECT_EQ(fwd.begin()->seq, e2.seq);
 
   // Later first: the earlier event is dropped on arrival.
   event_list rev;
   EXPECT_EQ(rev.add(e2), 0u);
   EXPECT_EQ(rev.add(e1), 1u);
   ASSERT_EQ(rev.size(), 1u);
-  EXPECT_EQ((*rev.begin())->seq(), e2->seq());
+  EXPECT_EQ(rev.begin()->seq, e2.seq);
 
   s.synchronize();
   EXPECT_EQ(hits, 2);
@@ -71,9 +67,9 @@ TEST(Fastpath, DominancePruningCanBeDisabled) {
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   p.launch_kernel(s, {.name = "k"}, [] {});
-  auto e1 = record_on(p, s);
+  auto e1 = record_on(s);
   p.launch_kernel(s, {.name = "k"}, [] {});
-  auto e2 = record_on(p, s);
+  auto e2 = record_on(s);
   event_list l;
   l.add(e1);
   l.add(e2);
@@ -85,12 +81,92 @@ TEST(Fastpath, CompletedEventsArePruned) {
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   p.launch_kernel(s, {.name = "k"}, [] {});
-  auto e = record_on(p, s);
+  auto e = record_on(s);
   s.synchronize();  // drains: the event's work is done
-  ASSERT_TRUE(e->completed());
+  ASSERT_TRUE(e.completed());
   event_list l;
   EXPECT_EQ(l.add(e), 1u);
   EXPECT_TRUE(l.empty());
+}
+
+TEST(Fastpath, GraphEventsOfDistinctEpochsStayDistinct) {
+  cudasim::platform p(1, tdesc());
+  const retry_policy retry;
+  graph_backend gb(p, retry);
+  const auto kernel = [&p](cudasim::stream& s) {
+    p.launch_kernel(s, {.name = "k"}, [] {});
+  };
+  // The first node of each epoch graph: same index, different epochs.
+  const event e1 =
+      gb.run(0, backend_iface::channel::compute, {}, kernel, "k");
+  gb.fence();
+  const event e2 =
+      gb.run(0, backend_iface::channel::compute, {}, kernel, "k");
+  ASSERT_TRUE(e1.is_graph());
+  ASSERT_EQ(e1.index, e2.index);
+  ASSERT_NE(e1.epoch(), e2.epoch());
+  event_list l;
+  EXPECT_EQ(l.add(e1), 0u);
+  EXPECT_EQ(l.add(e2), 0u);
+  EXPECT_EQ(l.add(e1), 1u);  // an exact duplicate is still pruned
+  EXPECT_EQ(l.size(), 2u);
+  // Graph events have no individual completion, not even once their
+  // epochs have run.
+  gb.wait_idle();
+  EXPECT_FALSE(e1.completed());
+  EXPECT_FALSE(e2.completed());
+  EXPECT_EQ(l.prune_completed_entries(), 0u);
+}
+
+TEST(Fastpath, ValueEventCompletedMonotonicWhileNodesRecycle) {
+  // One thread submits, records event values and synchronizes (recycling
+  // the nodes they name); another reads completed() lock-free on its own
+  // copies, directly and through event_list pruning. No event may ever go
+  // from completed back to pending.
+  constexpr std::size_t n_events = 2000;
+  cudasim::platform p(1, tdesc());
+  cudasim::stream s(p);
+  std::vector<event> events(n_events);
+  std::atomic<std::size_t> published{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> regressions{0};
+
+  std::thread poller([&] {
+    std::vector<char> seen_done(n_events, 0);
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::size_t n = published.load(std::memory_order_acquire);
+      for (std::size_t i = 0; i < n; ++i) {
+        const event e = events[i];
+        event_list l;
+        const bool done = e.completed();
+        const bool pruned = l.add(e) == 1;
+        if (seen_done[i] != 0 && !(done && pruned)) {
+          regressions.fetch_add(1, std::memory_order_relaxed);
+        }
+        seen_done[i] = static_cast<char>(seen_done[i] != 0 || done);
+      }
+    }
+  });
+  std::thread submitter([&] {
+    for (std::size_t i = 0; i < n_events; ++i) {
+      p.launch_kernel(s, {.name = "k"}, {});
+      events[i] = record_on(s);
+      published.store(i + 1, std::memory_order_release);
+      if (i % 16 == 15) {
+        s.synchronize();
+      }
+    }
+    s.synchronize();
+  });
+  submitter.join();
+  stop.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_GT(p.nodes_pooled(), 0u);
+  for (const event& e : events) {
+    EXPECT_TRUE(e.completed());
+  }
 }
 
 TEST(Fastpath, TimelineGcRecyclesNodesWithoutInvalidatingLiveHandles) {
