@@ -12,10 +12,9 @@
 # restart rung or the poison rung itself (or their predecessors) would fork
 # the rung decision again.
 #
-# And it holds every structural entry point to the one structural lock
-# (DESIGN.md §11): the exclusive gate and the context lock are taken only
-# through detail::structural_lock, so no site can take them in another
-# order or forget the gate.
+# And it holds every structural entry point to the one context lock
+# (DESIGN.md §11): it is taken only through detail::structural_lock and
+# the submission combiner, so no site can take it another way.
 #
 # Exit 0 when clean, 1 with a file:line listing per violation.
 set -euo pipefail
@@ -107,8 +106,10 @@ for f in "${engines[@]}"; do
 done
 
 # The structural-lock definition (context_locks through structural_lock in
-# threading.hpp) is the only place allowed to touch the context lock.
+# threading.hpp) and the combiner (threading.cpp) are the only places
+# allowed to touch the context lock's members.
 lock_def="$inc/threading.hpp"
+lock_impl="$src/threading.cpp"
 def_lines="$(awk '/^class context_locks \{/ { s = NR }
                   s && /^class structural_lock \{/ { t = 1 }
                   t && /^\};/ { print s, NR; exit }' "$lock_def")"
@@ -118,9 +119,12 @@ if [[ -z "$def_lines" ]]; then
   def_lines="0 0"
 fi
 read -r def_first def_last <<< "$def_lines"
-lock_bypass='gate_exclusive|context_mu_|\bmt\(\)|(\bst_?|ctx\(\)|state)(\.|->)mu\b'
+lock_bypass='context_mu_|context_owner_|context_depth_|\b(try_)?lock_context\(|\bunlock_context\(|\bmt\(\)|(\bst_?|ctx\(\)|state)(\.|->)mu\b'
 while IFS=: read -r file line text; do
   if [[ "$file" == "$lock_def" ]] && (( line >= def_first && line <= def_last )); then
+    continue
+  fi
+  if [[ "$file" == "$lock_impl" ]]; then
     continue
   fi
   echo "check_builder_drift: structural lock bypassed (use detail::structural_lock):" >&2

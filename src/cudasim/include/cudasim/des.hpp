@@ -38,9 +38,9 @@ namespace cudasim {
 using timepoint = double;
 
 /// Small dense identifier for the calling thread, assigned on first use and
-/// stable for the thread's lifetime. Used to shard thread-affine resources
-/// (per-thread stat cells, stream striping) without a registry. Slots are
-/// never reused; shard consumers reduce modulo their shard count.
+/// stable for the thread's lifetime: the home slot of the thread's
+/// submissions in the STF combiner. Slots are never reused; consumers
+/// reduce modulo their slot count.
 inline int thread_slot() noexcept {
   static std::atomic<int> next{0};
   thread_local const int slot = next.fetch_add(1, std::memory_order_relaxed);

@@ -94,8 +94,8 @@ void add_dep_traffic(cudasim::kernel_desc& k, const task_dep_untyped& dep,
 data_impl_ptr context::register_impl(std::vector<std::size_t> extents,
                                      std::size_t elem_size, void* host_ptr,
                                      std::string name) {
-  // Registration mutates the registry and adoption state: structural, so it
-  // excludes fast-path submitters while workers are live (DESIGN.md §11).
+  // Registration mutates the registry and adoption state: structural
+  // (DESIGN.md §11).
   detail::structural_lock lock(*st_);
   auto impl = std::make_shared<logical_data_impl>(
       st_, std::move(extents), elem_size, host_ptr, std::move(name));

@@ -3,11 +3,8 @@
 // backend to talk to (§IV-D).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,27 +37,14 @@ struct context_state : detail::context_locks {
   std::unique_ptr<backend_iface> backend;
 
   // --- parallel submission (DESIGN.md §11) ---
-  // mt_active, the submission gate and the context lock live in the
-  // context_locks base; structural code locks them via structural_lock.
+  // mt_active, the context lock and the combiner live in the context_locks
+  // base; structural code locks them via structural_lock.
 
   /// Deterministic-order mode (ctx.set_deterministic_order()): worker
   /// threads in parallel_submit() hand off through a ticket turnstile so
   /// submissions retire in item order — the replay log (DESIGN.md §7) and
   /// checksum identities (§10) then match a single-threaded run exactly.
   bool deterministic_order = false;
-
-  /// Striped per-logical-data locks protecting each impl's MSI state,
-  /// last-writer/readers chains and instance bookkeeping on the fast path,
-  /// so unrelated data never contend. Stripe index hashes the impl address;
-  /// a task locks all its deps' stripes in canonical order (stripe_lock).
-  static constexpr std::size_t data_stripe_count = 64;
-  std::array<std::mutex, data_stripe_count> data_stripes;
-
-  std::mutex& stripe_for(const void* impl) {
-    auto h = reinterpret_cast<std::uintptr_t>(impl) >> 6;
-    h ^= h >> 17;
-    return data_stripes[h % data_stripe_count];
-  }
 
   /// Every live logical data, for the eviction scan (weak: registration
   /// does not keep data alive).
@@ -70,20 +54,13 @@ struct context_state : detail::context_locks {
   /// fence/finalize time.
   event_list dangling;
 
-  /// LRU clock for eviction. Atomic (relaxed) because fast-path acquires
-  /// stamp instance recency while holding only their data stripes.
-  std::atomic<std::uint64_t> use_counter{0};
+  /// LRU clock for eviction.
+  std::uint64_t use_counter = 0;
 
-  /// Fast-path counter: redundant events (duplicates, completed, dominated
-  /// by a later same-stream event) pruned while building dependency lists
-  /// on the acquire/release path (§IV). Per-thread cells: incremented under
-  /// different data stripes concurrently.
-  detail::relaxed_counter events_pruned;
-
-  /// Submissions that completed on the sharded multi-threaded fast path
-  /// (ctx.fast_path_submits()); tests assert eligibility didn't silently
-  /// degrade to the serialized exclusive path.
-  detail::relaxed_counter fast_submits;
+  /// Redundant events (duplicates, completed, dominated by a later
+  /// same-stream event) pruned while building dependency lists on the
+  /// acquire/release path (§IV).
+  std::uint64_t events_pruned = 0;
 
   /// Estimated accumulated work per device (seconds), maintained by the
   /// HEFT-style automatic placement policy (§IX extension).
@@ -217,9 +194,8 @@ struct context_state : detail::context_locks {
 
   // --- submission pipeline observers (submit.cpp, DESIGN.md §13) ---
 
-  /// Registered pipeline observers (ctx.observe()). Non-empty observers
-  /// force the slow path: op records are built and emitted under the
-  /// context lock.
+  /// Registered pipeline observers (ctx.observe()): op records are built
+  /// and emitted under the context lock.
   std::vector<submit_observer*> observers;
 
   /// The context-owned DOT exporter, when enabled via ctx.enable_dot() or
@@ -227,8 +203,8 @@ struct context_state : detail::context_locks {
   /// destructor lives in context.cpp where dot_exporter is complete.
   std::unique_ptr<dot_exporter> dot;
 
-  /// Monotonic op id for pipeline records (observers registered ⇒ slow
-  /// path ⇒ incremented under the context lock).
+  /// Monotonic op id for pipeline records (incremented under the context
+  /// lock).
   std::uint64_t next_op_id = 1;
 };
 

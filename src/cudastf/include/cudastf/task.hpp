@@ -182,22 +182,31 @@ struct builder_core {
     }
   };
 
-  /// Lowers one submission of builder `b` under the structural lock:
+  /// Lowers one submission of builder `b` under the context lock:
   /// completes `op` with the untyped dependency array, runs the admission
   /// stage and calls drive(pipe, hooks) with the construct's driver. The
   /// requeue closure copies the builder before plan/bind mutate the
-  /// requested places, so a replay/retry re-enters verbatim.
+  /// requested places, so a replay/retry re-enters verbatim. While
+  /// parallel_submit workers are live the lowering goes through the
+  /// combiner (DESIGN.md §11), which runs it on whichever thread drains.
   template <class Builder, class Fn, class Drive>
   void submit(Builder& b, Fn& fn, op_desc op, Drive&& drive) {
+    auto lowered = [&] {
+      const auto untyped = make_untyped();
+      op.deps = untyped.data();
+      op.n_deps = untyped.size();
+      submit_pipeline pipe(*st, op);
+      pipe.stage_admission(pipe.needs_requeue() ? make_requeue(b, fn)
+                                                : std::function<void()>{});
+      hooks<Builder, Fn> h(*this, b, pipe, fn);
+      drive(pipe, h);
+    };
+    if (st->mt_active.load(std::memory_order_acquire)) [[unlikely]] {
+      st->combine(lowered);
+      return;
+    }
     structural_lock lock(*st);
-    const auto untyped = make_untyped();
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    submit_pipeline pipe(*st, op);
-    pipe.stage_admission(pipe.needs_requeue() ? make_requeue(b, fn)
-                                              : std::function<void()>{});
-    hooks<Builder, Fn> h(*this, b, pipe, fn);
-    drive(pipe, h);
+    lowered();
   }
 };
 
@@ -248,10 +257,7 @@ class [[nodiscard]] task_builder {
     return std::move(*this);
   }
 
-  /// Submits the task. `fn` receives (stream&, views...). While
-  /// parallel_submit workers are live (DESIGN.md §11), eligible tasks take
-  /// the sharded fast path; everything else — ineligible tasks and every
-  /// single-threaded submission — goes through the shared core.
+  /// Submits the task. `fn` receives (stream&, views...).
   template <class Fn>
   void operator->*(Fn&& fn) && {
     if (core_.where.is_grid()) {
@@ -262,10 +268,6 @@ class [[nodiscard]] task_builder {
     if (core_.where.is_host()) {
       throw std::logic_error(
           "cudastf: use ctx.host_launch() for host-side tasks");
-    }
-    if (core_.st->mt_active.load(std::memory_order_acquire) &&
-        try_submit_fast(fn)) [[unlikely]] {
-      return;
     }
     core_.submit(*this, fn,
                  {.kind = op_kind::task,
@@ -289,76 +291,6 @@ class [[nodiscard]] task_builder {
       std::apply([&](auto&... v) { (*f)(s, v...); }, views);
     };
     a.pipe.run_shard(a.devices[0], a.ready, payload, a.done, a.rr);
-  }
-
-  /// Sharded fast-path submission (DESIGN.md §11): holds the gate shared
-  /// and only the deps' stripe mutexes — never the context lock — across
-  /// acquire -> backend run -> release (two-phase locking). Returns false,
-  /// without submitting, when the task is ineligible: the caller then
-  /// submits through the core, under the structural lock.
-  template <class Fn>
-  bool try_submit_fast(Fn& fn) {
-    context_state& st = *core_.st;
-    // A structural operation submitting tasks while it holds the gate
-    // exclusively (epoch replay) must not take the shared side against
-    // itself; the exclusive side is reentrant, so fall through to it.
-    if (st.gate.held_exclusive_by_me()) {
-      return false;
-    }
-    const exec_place& where = core_.where;
-    if (verified_ || deadline_ > 0.0 || shed_ ||
-        where.type() == exec_place::kind::automatic) {
-      return false;  // dual execution / deadline / HEFT mutation: structural
-    }
-    detail::gate_shared sg(st.gate);
-    if (!detail::fast_path_armed(st)) {
-      return false;  // a structural engine or observer is armed
-    }
-    const int device = where.type() == exec_place::kind::device
-                           ? where.device_index()
-                           : st.plat->current_device();
-    const auto untyped = core_.make_untyped();
-    const op_desc op{.kind = op_kind::task,
-                     .symbol = &symbol_,
-                     .deps = untyped.data(),
-                     .n_deps = untyped.size()};
-    detail::stripe_lock stripes;
-    for (const task_dep_untyped* d : untyped) {
-      if (!stripes.add(&st.stripe_for(d->data.get()))) {
-        return false;  // more distinct data than stripe capacity
-      }
-    }
-    constexpr auto seq = std::index_sequence_for<Deps...>{};
-    std::array<data_place, sizeof...(Deps)> resolved;
-    stripes.lock();
-    if (!detail::fast_path_ready(op, device, resolved.data())) {
-      return false;  // allocation/transfer needed: structural
-    }
-    std::exception_ptr err;
-    try {
-      event_list ready =
-          detail::acquire_all(st, device, resolved, core_.deps, seq);
-      auto views = detail::make_views(resolved, core_.deps, seq);
-      auto payload = [fn = std::forward<Fn>(fn),
-                      views](cudasim::stream& s) mutable {
-        std::apply([&](auto&... v) { fn(s, v...); }, views);
-      };
-      const event_list done_list(
-          st.backend->run(device, backend_iface::channel::compute, ready,
-                          payload, symbol_));
-      detail::release_all(st, resolved, core_.deps, done_list, seq);
-      st.fast_submits += 1;
-      return true;
-    } catch (...) {
-      err = std::current_exception();
-    }
-    // Failure epilogue: drop the stripes and the shared gate, then record
-    // under the structural lock like the slow path would, and rethrow the
-    // original exception.
-    stripes.unlock();
-    sg.unlock();
-    detail::structural_lock lock(st);
-    detail::fast_submit_failure(st, op, device, err);
   }
 
   detail::builder_core<Deps...> core_;
@@ -388,8 +320,6 @@ class [[nodiscard]] host_launch_builder {
     return std::move(*this);
   }
 
-  /// Host tasks are rare and touch the host stream + deferred-free
-  /// machinery: always structural (DESIGN.md §11).
   template <class Fn>
   void operator->*(Fn&& fn) && {
     core_.submit(*this, fn,

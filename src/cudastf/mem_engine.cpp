@@ -3,10 +3,8 @@
 // and prefetch-back. Owns context_state::alloc_with_eviction.
 //
 // Threading contract (DESIGN.md §11): allocation and eviction mutate
-// instances of arbitrary logical data, so this engine only ever runs with
-// the submission gate held exclusively (the fast path bails out before
-// allocating). use_counter is the one member touched from the shared fast
-// path and is atomic for that reason.
+// instances of arbitrary logical data; this engine only ever runs under
+// the context lock.
 #include "cudastf/mem_engine.hpp"
 
 #include <bit>
@@ -246,8 +244,7 @@ void mem_engine::pump_prefetch(context_state& st, int /*device*/) {
         release_device_instance(st, *d, inst, /*recycle=*/true);
         continue;
       }
-      inst.last_use = st.use_counter.fetch_add(1, std::memory_order_relaxed) +
-                      1;  // fresh fill: not the next victim
+      inst.last_use = ++st.use_counter;  // fresh fill: not the next victim
       ++st.backend->mutable_stats().prefetch_refills;
       --budget;
     }
@@ -344,8 +341,7 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
       constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
       if (inst.last_use - inst.prev_use > scan_threshold) {
         key = scan_base - inst.last_use;
-        if (inst.last_use + scan_guard >
-            use_counter.load(std::memory_order_relaxed)) {
+        if (inst.last_use + scan_guard > use_counter) {
           // Too young: its producers are still in flight (see scan_guard).
           key += scan_base / 2;
         }

@@ -678,54 +678,6 @@ void submit_pipeline::execute_resilient(op_hooks& h, std::vector<int> devices) {
   }
 }
 
-// --- §11 fast-path eligibility ---
-
-bool fast_path_armed(const context_state& st) {
-  // Structural context features force the slow path wholesale: their hooks
-  // mutate shared engine state the data stripes do not cover. Observers are
-  // structural too — records are built and emitted under the context lock.
-  return st.ckpt == nullptr && st.integ == nullptr && st.dl == nullptr &&
-         !st.fault_aware() && st.order_edges.empty() &&
-         st.observers.empty() && st.backend->concurrent_safe();
-}
-
-bool fast_path_ready(const op_desc& op, int device, data_place* resolved) {
-  // Pre-check under the stripes: every dep needs an already-allocated
-  // instance at its resolved place, valid when the op reads it. Anything
-  // needing allocation, eviction or a coherence transfer is structural (it
-  // touches the memory engine and other data's stripes) and goes through
-  // the exclusive gate instead. After this check the unchanged
-  // acquire_dep/release_dep bodies provably skip those branches, so the
-  // pre-existing coherence logic runs as-is.
-  for (std::size_t i = 0; i < op.n_deps; ++i) {
-    const task_dep_untyped& dep = *op.deps[i];
-    resolved[i] = resolve_place(dep.place, device);
-    if (resolved[i].type() == data_place::kind::composite) {
-      return false;
-    }
-    data_instance* inst = dep.data->find_instance(resolved[i]);
-    if (inst == nullptr || !inst->allocated ||
-        (mode_reads(dep.mode) && inst->state == msi_state::invalid)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void fast_submit_failure(context_state& st, const op_desc& op, int device,
-                         const std::exception_ptr& err) {
-  detail::unpin_deps(op.deps, op.n_deps);
-  try {
-    std::rethrow_exception(err);
-  } catch (...) {
-    // Not fault-aware (the fast path requires it): poison only.
-    failure f = classify(op_failure(op, device, 1));
-    f.restartable = false;
-    recover(st, std::move(f));
-    throw;
-  }
-}
-
 // --- CUDASTF_DOT_FILE ---
 
 void arm_env_dot(context_state& st) {

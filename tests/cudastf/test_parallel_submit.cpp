@@ -1,10 +1,11 @@
-// Parallel host-side submission (DESIGN.md §11, paper §VII-E): sharded
-// dependency tracking under per-data stripe locks, the submit_gate that
-// lets structural operations run unchanged, deterministic-order mode, and
-// the thread-safe cudasim boundary. Covers: disjoint-data fan-out with no
-// cross-talk, shared-data serialization, bit-identical deterministic
-// schedules on both backends, submission under injected faults, replay
-// after an epoch restart, and slab-recycling / structural-op stress.
+// Parallel host-side submission (DESIGN.md §11, paper §VII-E): the flat
+// combiner that drains every worker's submission through the one
+// single-threaded pipeline, deterministic-order mode, and the thread-safe
+// cudasim boundary. Covers: disjoint-data fan-out with no cross-talk,
+// shared-data serialization through every builder, exceptions handed back
+// to the submitting worker, bit-identical deterministic schedules on both
+// backends, submission under injected faults, replay after an epoch
+// restart, and slab-recycling / structural-op stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +34,7 @@ void axpb_kernel(cudasim::platform& p, cudasim::stream& s, double a, double b,
   });
 }
 
-// --- disjoint data: N threads, no cross-talk, fast path engaged ---
+// --- disjoint data: N threads, no cross-talk, every submission combined ---
 
 TEST(ParallelSubmit, DisjointDataNoCrossTalk) {
   cudasim::scoped_platform sp(2, tdesc());
@@ -51,7 +52,7 @@ TEST(ParallelSubmit, DisjointDataNoCrossTalk) {
                                     n, "d" + std::to_string(t)));
   }
   // Warm-up: allocate + validate each data's device instance so the MT
-  // loop needs no allocation or transfer (fast-path eligibility).
+  // loop needs no allocation or transfer.
   for (auto& d : data) {
     ctx.task(d.rw())->*[&](cudasim::stream& s, slice<double> v) {
       axpb_kernel(p, s, 1.0, 0.0, v);
@@ -69,7 +70,7 @@ TEST(ParallelSubmit, DisjointDataNoCrossTalk) {
                             };
                       });
 
-  // Exactly one backend submission per item, all on the fast path.
+  // Exactly one backend submission per item, each drained by the combiner.
   EXPECT_EQ(ctx.stats().tasks - tasks_before, n_threads * tasks_per_data);
   EXPECT_EQ(ctx.fast_path_submits() - fast_before,
             n_threads * tasks_per_data);
@@ -85,7 +86,7 @@ TEST(ParallelSubmit, DisjointDataNoCrossTalk) {
   }
 }
 
-// --- shared data: stripe locks serialize correctly across threads ---
+// --- shared data: every builder serializes correctly across threads ---
 
 TEST(ParallelSubmit, SharedDataSerializesCorrectly) {
   cudasim::scoped_platform sp(1, tdesc());
@@ -100,17 +101,110 @@ TEST(ParallelSubmit, SharedDataSerializesCorrectly) {
   ctx.task(lacc.rw())->*[&](cudasim::stream& s, slice<double> v) {
     axpb_kernel(p, s, 1.0, 0.0, v);  // warm-up: device instance valid
   };
+  const std::uint64_t fast_before = ctx.fast_path_submits();
 
-  ctx.parallel_submit(n_threads, items, [&](std::size_t) {
-    ctx.task(lacc.rw())->*[&](cudasim::stream& s, slice<double> v) {
-      axpb_kernel(p, s, 1.0, 1.0, v);  // commutative: += 1 per item
-    };
+  // Items cycle through all four builders; each adds 1 to every element,
+  // so the result is order-independent.
+  ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
+    switch (item % 4) {
+      case 0:
+        ctx.task(lacc.rw())->*[&](cudasim::stream& s, slice<double> v) {
+          axpb_kernel(p, s, 1.0, 1.0, v);
+        };
+        break;
+      case 1:
+        ctx.parallel_for(lacc.get_shape(), lacc.rw())->*
+            [](std::size_t i, slice<double> v) { v(i) += 1.0; };
+        break;
+      case 2:
+        ctx.launch(par(con(4)), exec_place::device(0), lacc.rw())->*
+            [](thread_hierarchy& th, slice<double> v) {
+              for (auto [i] : th.apply_partition(shape(v))) {
+                v(i) += 1.0;
+              }
+            };
+        break;
+      default:
+        ctx.host_launch(lacc.rw())->*[](slice<double> v) {
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            v(i) += 1.0;
+          }
+        };
+        break;
+    }
   });
+  EXPECT_EQ(ctx.fast_path_submits() - fast_before, items);
 
   const error_report rep = ctx.finalize();
   ASSERT_TRUE(rep.ok()) << rep.to_string();
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_DOUBLE_EQ(acc[i], double(items)) << i;
+  }
+}
+
+// --- a combined submission's exception reaches the worker that made it ---
+
+TEST(ParallelSubmit, CombinedExceptionReachesItsSubmitter) {
+  cudasim::scoped_platform sp(2, tdesc());
+  cudasim::platform& p = sp.get();
+  context ctx(p);
+
+  constexpr int n_threads = 4;
+  constexpr std::size_t items = 210;
+  constexpr std::size_t n = 16;
+  std::vector<std::vector<double>> host(n_threads,
+                                        std::vector<double>(n, 0.0));
+  std::vector<logical_data<slice<double>>> data;
+  for (int t = 0; t < n_threads; ++t) {
+    data.push_back(ctx.logical_data(host[static_cast<std::size_t>(t)].data(),
+                                    n, "e" + std::to_string(t)));
+  }
+  std::vector<double> src(n, 1.0);
+  auto lsrc = ctx.logical_data(src.data(), n, "src");
+  auto bad = [](std::size_t item) { return item % 7 == 3; };
+
+  // A bad item targets device 7 of a 2-device platform: its submission
+  // throws std::out_of_range inside whichever worker combines it. Every
+  // worker catches only its own failures, so an exception handed to the
+  // wrong worker escapes parallel_submit, and a swallowed one leaves its
+  // item's count at zero.
+  std::vector<std::atomic<int>> caught(items);
+  const std::uint64_t fast_before = ctx.fast_path_submits();
+  EXPECT_NO_THROW(ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
+    if (bad(item)) {
+      try {
+        ctx.task(exec_place::device(7), lsrc.read())->*
+            [](cudasim::stream&, slice<const double>) {};
+      } catch (const std::out_of_range&) {
+        caught[item].fetch_add(1);
+      }
+      return;
+    }
+    ctx.task(data[item % n_threads].rw())->*
+        [&](cudasim::stream& s, slice<double> v) {
+          axpb_kernel(p, s, 1.0, 1.0, v);
+        };
+  }));
+  EXPECT_EQ(ctx.fast_path_submits() - fast_before, items);
+
+  std::vector<double> want(n_threads, 0.0);
+  std::size_t n_bad = 0;
+  for (std::size_t item = 0; item < items; ++item) {
+    ASSERT_EQ(caught[item].load(), bad(item) ? 1 : 0) << "item " << item;
+    if (bad(item)) {
+      ++n_bad;
+    } else {
+      want[item % n_threads] += 1.0;
+    }
+  }
+  const error_report rep = ctx.finalize();
+  EXPECT_EQ(rep.failures_total, n_bad) << rep.to_string();
+  for (int t = 0; t < n_threads; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_DOUBLE_EQ(host[static_cast<std::size_t>(t)][i],
+                       want[static_cast<std::size_t>(t)])
+          << "data " << t << " elem " << i;
+    }
   }
 }
 
@@ -167,9 +261,8 @@ TEST(ParallelSubmit, DeterministicOrderBitIdenticalGraphBackend) {
     run_affine_chain(context::graph(sp.get()), sp.get(), ref, 1, items);
   }
   {
-    // The graph backend captures single-threaded (concurrent_safe() is
-    // false): every submission falls back to the exclusive gate, and the
-    // turnstile still retires items in order.
+    // The graph backend records one capture graph per epoch; the
+    // turnstile retires items in order through the combiner.
     cudasim::scoped_platform sp(2, tdesc());
     run_affine_chain(context::graph(sp.get()), sp.get(), mt, 4, items);
   }
@@ -183,7 +276,7 @@ TEST(ParallelSubmit, RecoversFromTransientFaultsUnderParallelSubmission) {
   cudasim::platform& p = sp.get();
   // Two transient kernel refusals while workers are submitting. An armed
   // injector makes fault_aware() true, so every submission takes the
-  // resilient exclusive path — parallel_submit composes with recovery.
+  // resilient path — parallel_submit composes with recovery.
   p.ensure_fault_injector().schedule(
       {.kind = cudasim::fault_kind::kernel_fault, .device = -1, .at_op = 9});
   p.ensure_fault_injector().schedule(
@@ -266,8 +359,8 @@ TEST(ParallelSubmit, StructuralOpsMixedWithFastPath) {
   }
 
   // Every 40th item runs a structural op (fence: drains the DES, recycles
-  // slab nodes via gc) from a worker thread, exercising the exclusive gate
-  // against in-flight fast-path submissions and the generation tags that
+  // slab nodes via gc) from a worker thread, exercising the context lock
+  // against in-flight combined submissions and the generation tags that
   // make events on recycled nodes read as completed.
   ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
     if (item % 40 == 17) {
@@ -357,8 +450,7 @@ TEST(ParallelSubmit, StatsCountersCoherentUnderConcurrency) {
         };
   });
 
-  // Per-thread cells aggregated on read: no increments lost (thread count
-  // is far below the cell count, so no aliasing).
+  // Every combined submission counted once: no increments lost.
   EXPECT_EQ(ctx.stats().tasks - tasks_before, items);
   const error_report rep = ctx.finalize();
   ASSERT_TRUE(rep.ok()) << rep.to_string();

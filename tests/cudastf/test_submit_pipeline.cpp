@@ -1,8 +1,8 @@
 // The staged submission pipeline and its observer API (DESIGN.md §13):
 // every construct lowers to the same op_desc/op_record shape, the lowering
-// is identical across backends, the disarmed path stays on the §11 lock-
-// free fast path, and the shipped observers (trace, Graphviz DOT) render
-// the lowered graph — including poison cause-chain edges.
+// is identical across backends, every submission under parallel_submit is
+// drained by the §11 combiner, and the shipped observers (trace, Graphviz
+// DOT) render the lowered graph — including poison cause-chain edges.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -175,7 +175,7 @@ TEST(SubmitPipeline, StreamAndGraphBackendsLowerIdentically) {
   EXPECT_EQ(ys, yg);
 }
 
-// --- the disarmed path stays on the §11 fast path ---
+// --- parallel_submit: every submission goes through the §11 combiner ---
 
 TEST(SubmitPipeline, DisarmedFanOutStaysOnFastPath) {
   cudasim::scoped_platform sp(2, tdesc());
@@ -191,7 +191,7 @@ TEST(SubmitPipeline, DisarmedFanOutStaysOnFastPath) {
     data.push_back(ctx.logical_data(host[std::size_t(t)].data(), 32,
                                     "d" + std::to_string(t)));
   }
-  // Warm-up allocates + validates device instances (fast-path eligibility).
+  // Warm-up allocates + validates device instances.
   for (auto& d : data) {
     ctx.task(d.rw())->*[&p](cudasim::stream& s, slice<double> v) {
       p.launch_kernel(s, {.name = "warm"}, [=] {
@@ -212,8 +212,7 @@ TEST(SubmitPipeline, DisarmedFanOutStaysOnFastPath) {
       });
     };
   });
-  // Every MT submission took the lock-free fast path: the pipeline's
-  // observer hook must not have forced the slow path while disarmed.
+  // Every MT submission was drained by the combiner.
   EXPECT_EQ(ctx.fast_path_submits() - fast_before, n_threads * per);
   const error_report rep = ctx.finalize();
   ASSERT_TRUE(rep.ok()) << rep.to_string();
@@ -226,7 +225,7 @@ TEST(SubmitPipeline, DisarmedFanOutStaysOnFastPath) {
   }
 }
 
-TEST(SubmitPipeline, AttachedObserverLeavesFastPathAndDetachRestoresIt) {
+TEST(SubmitPipeline, AttachedObserverTracesCombinedSubmissionsUntilDetach) {
   cudasim::scoped_platform sp(1, tdesc());
   cudasim::platform& p = sp.get();
   context ctx(p);
@@ -246,17 +245,17 @@ TEST(SubmitPipeline, AttachedObserverLeavesFastPathAndDetachRestoresIt) {
 
   const std::uint64_t fast0 = ctx.fast_path_submits();
   ctx.parallel_submit(2, 4, submit_item);
-  EXPECT_EQ(ctx.fast_path_submits() - fast0, 4u);  // disarmed: fast
+  EXPECT_EQ(ctx.fast_path_submits() - fast0, 4u);  // every item combined
 
   trace_observer trace;
   ctx.observe(trace);
   ctx.parallel_submit(2, 4, submit_item);
-  EXPECT_EQ(ctx.fast_path_submits() - fast0, 4u);  // observed: slow path
+  EXPECT_EQ(ctx.fast_path_submits() - fast0, 8u);  // observed: combined too
   EXPECT_EQ(trace.records().size(), 4u);           // every op traced
 
   ctx.unobserve(trace);
   ctx.parallel_submit(2, 4, submit_item);
-  EXPECT_EQ(ctx.fast_path_submits() - fast0, 8u);  // detached: fast again
+  EXPECT_EQ(ctx.fast_path_submits() - fast0, 12u);  // detached: combined
   EXPECT_EQ(trace.records().size(), 4u);           // no further callbacks
 
   const error_report rep = ctx.finalize();
