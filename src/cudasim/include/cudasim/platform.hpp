@@ -108,6 +108,8 @@ class platform {
  public:
   /// Builds a homogeneous machine of `num_devices` copies of `desc`.
   platform(int num_devices, const device_desc& desc);
+  /// Releases the host backing of every allocation never freed; a free
+  /// whose node has not run releases its backing as the node is dropped.
   ~platform();
 
   platform(const platform&) = delete;

@@ -34,7 +34,13 @@ platform::platform(int num_devices, const device_desc& desc) {
   }
 }
 
-platform::~platform() = default;
+platform::~platform() {
+  for (const auto& dev : devices_) {
+    for (const auto& [p, info] : dev->live_allocs_) {
+      std::free(p);
+    }
+  }
+}
 
 device_state& platform::device(int i) {
   return *devices_.at(static_cast<std::size_t>(i));
@@ -480,11 +486,18 @@ void platform::free_async(void* p, stream& s) {
   const std::size_t bytes = it->second.bytes;
   dev.live_allocs_.erase(it);
   // Pool space is returned in submission order (the pool can reuse the range
-  // for future stream-ordered allocations); the host backing is released when
-  // the free node completes.
+  // for future stream-ordered allocations). The free node owns the host
+  // backing: it is released when the node runs, or when a node that never
+  // runs (cancelled, or pending when the platform is destroyed) is dropped.
   dev.pool_used_ -= bytes;
-  op_node* node = tl_.make_node("freeAsync", s.device(), &dev.compute(),
-                                dev.desc().alloc_latency, [p] { std::free(p); });
+  struct free_backing {
+    void operator()(void* q) const noexcept { std::free(q); }
+  };
+  op_node* node = tl_.make_node(
+      "freeAsync", s.device(), &dev.compute(), dev.desc().alloc_latency,
+      [backing = std::unique_ptr<void, free_backing>(p)]() mutable {
+        backing.reset();
+      });
   timeline::add_dep(s.last(), node);
   s.set_last(node);
   tl_.submit(node);

@@ -89,6 +89,27 @@ TEST(Stream, MallocAsyncHonorsCapacity) {
   s.synchronize();
 }
 
+TEST(Stream, DestroyedPlatformReleasesUndrainedAllocations) {
+  // The platform owns the host backing of every stream-ordered allocation
+  // it still holds when destroyed: freed by a node that never ran, or
+  // never freed. Each is released exactly once. scripts/tier1.sh
+  // --sanitize runs this suite with LeakSanitizer on.
+  auto p = std::make_unique<platform>(1, small_desc());
+  {
+    stream s(*p);
+    void* drained = p->malloc_async(1 << 20, s);
+    ASSERT_NE(drained, nullptr);
+    p->free_async(drained, s);
+    s.synchronize();  // this free's node runs and releases the backing
+    void* freed = p->malloc_async(1 << 20, s);
+    void* kept = p->malloc_async(1 << 20, s);
+    ASSERT_NE(freed, nullptr);
+    ASSERT_NE(kept, nullptr);
+    p->free_async(freed, s);  // no synchronize: the free node stays pending
+  }
+  p.reset();
+}
+
 TEST(Stream, EventOrdersAcrossStreams) {
   platform p(2, small_desc());
   stream s0(p, 0);
