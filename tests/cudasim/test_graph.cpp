@@ -221,4 +221,192 @@ TEST(Graph, AbandonedTemplateReturnsPoolSpace) {
   EXPECT_EQ(p.device(0).pool_used(), 0u);
 }
 
+
+// --- the two launch paths agree ---
+//
+// With graph_node_latency == launch_latency the only modelled difference
+// between a stream submission and the same op captured into a graph and
+// launched is gone, so both paths must finish at the same virtual time and
+// deliver the same bytes, op kind by op kind.
+
+device_desc parity_desc() {
+  device_desc d = test_desc();
+  d.graph_node_latency = d.launch_latency;
+  d.copy_latency = 2.0e-6;
+  d.alloc_latency = 3.0e-6;
+  return d;
+}
+
+// Runs `ops` on two streams (devices 0 and 1) of a fresh three-device
+// platform, either directly or captured from both streams into one graph
+// that is then instantiated and launched on the first stream. Returns the
+// virtual time once everything completed.
+template <class Ops>
+double run_parity(bool as_graph, Ops&& ops) {
+  platform p(3, parity_desc());
+  stream s0(p, 0);
+  stream s1(p, 1);
+  if (!as_graph) {
+    ops(p, s0, s1);
+  } else {
+    graph g(p);
+    s0.begin_capture(g);
+    s1.begin_capture(g);
+    ops(p, s0, s1);
+    s0.end_capture();
+    s1.end_capture();
+    graph_exec exec(g);
+    exec.launch(s0);
+    p.synchronize();
+  }
+  p.synchronize();
+  EXPECT_EQ(s0.status(), sim_status::success);
+  EXPECT_EQ(s1.status(), sim_status::success);
+  return p.now();
+}
+
+TEST(GraphParity, KernelMatchesStreamLaunch) {
+  double t[2];
+  for (int as_graph = 0; as_graph < 2; ++as_graph) {
+    int hits = 0;
+    t[as_graph] = run_parity(as_graph == 1, [&](platform& p, stream& s0,
+                                                stream& s1) {
+      p.launch_kernel(s0, {.name = "a", .flops = 2.0e6, .bytes = 1.0e5},
+                      [&] { ++hits; });
+      p.launch_kernel(s0, {.name = "b", .bytes = 3.0e6}, [&] { ++hits; });
+      p.launch_kernel(s1, {.name = "c", .fixed_seconds = 4.0e-6},
+                      [&] { ++hits; });
+    });
+    EXPECT_EQ(hits, 3);
+  }
+  EXPECT_GT(t[0], 0.0);
+  EXPECT_DOUBLE_EQ(t[0], t[1]);
+}
+
+TEST(GraphParity, MemcpyAllDirectionsMatchStream) {
+  constexpr std::size_t n = 4096;
+  double t[2];
+  for (int as_graph = 0; as_graph < 2; ++as_graph) {
+    std::vector<double> host(n), dev(n, 0.0), dev2(n, 0.0), back(n, 0.0),
+        host2(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      host[i] = 0.5 * static_cast<double>(i);
+    }
+    const std::size_t bytes = n * sizeof(double);
+    t[as_graph] = run_parity(as_graph == 1, [&](platform& p, stream& s0,
+                                                stream& s1) {
+      p.memcpy_async(dev.data(), host.data(), bytes,
+                     memcpy_kind::host_to_device, s0);
+      p.memcpy_async(dev2.data(), dev.data(), bytes,
+                     memcpy_kind::device_to_device, s0);
+      p.memcpy_async(back.data(), dev2.data(), bytes,
+                     memcpy_kind::device_to_host, s0);
+      p.memcpy_async(host2.data(), host.data(), bytes,
+                     memcpy_kind::host_to_host, s1);
+    });
+    EXPECT_EQ(dev, host);
+    EXPECT_EQ(dev2, host);
+    EXPECT_EQ(back, host);
+    EXPECT_EQ(host2, host);
+  }
+  EXPECT_GT(t[0], 0.0);
+  EXPECT_DOUBLE_EQ(t[0], t[1]);
+}
+
+TEST(GraphParity, PeerCopiesIntoOneDeviceSerializeInBothPaths) {
+  constexpr std::size_t n = 1 << 16;
+  const std::size_t bytes = n * sizeof(double);
+  const device_desc d = parity_desc();
+  const double one = d.copy_latency + static_cast<double>(bytes) / d.p2p_bw;
+  double t[2];
+  for (int as_graph = 0; as_graph < 2; ++as_graph) {
+    std::vector<double> a(n, 1.0), b(n, 2.0), da(n, 0.0), db(n, 0.0);
+    t[as_graph] = run_parity(as_graph == 1, [&](platform& p, stream& s0,
+                                                stream& s1) {
+      // Two independent peer copies (devices 0 and 1) into device 2: they
+      // share its copy_in engine, so they run back to back.
+      p.memcpy_peer_async(da.data(), 2, a.data(), 0, bytes, s0);
+      p.memcpy_peer_async(db.data(), 2, b.data(), 1, bytes, s1);
+    });
+    EXPECT_EQ(da, a);
+    EXPECT_EQ(db, b);
+  }
+  EXPECT_NEAR(t[0], 2.0 * one, 1e-12);
+  EXPECT_DOUBLE_EQ(t[0], t[1]);
+}
+
+TEST(GraphParity, MemAllocFreeMatchesStream) {
+  constexpr std::size_t n = 512;
+  const std::size_t bytes = n * sizeof(double);
+  double t[2];
+  for (int as_graph = 0; as_graph < 2; ++as_graph) {
+    std::vector<double> host(n, 7.0), back(n, 0.0);
+    t[as_graph] = run_parity(as_graph == 1, [&](platform& p, stream& s0,
+                                                stream& s1) {
+      void* buf = p.malloc_async(bytes, s0);
+      ASSERT_NE(buf, nullptr);
+      p.memcpy_async(buf, host.data(), bytes, memcpy_kind::host_to_device, s0);
+      p.memcpy_async(back.data(), buf, bytes, memcpy_kind::device_to_host, s0);
+      p.free_async(buf, s0);
+      void* other = p.malloc_async(64, s1);
+      ASSERT_NE(other, nullptr);
+      p.free_async(other, s1);
+    });
+    EXPECT_EQ(back, host);
+  }
+  EXPECT_GT(t[0], 0.0);
+  EXPECT_DOUBLE_EQ(t[0], t[1]);
+}
+
+TEST(GraphParity, HostFuncMatchesStream) {
+  double t[2];
+  for (int as_graph = 0; as_graph < 2; ++as_graph) {
+    std::vector<int> order;
+    t[as_graph] = run_parity(as_graph == 1, [&](platform& p, stream& s0,
+                                                stream& s1) {
+      p.launch_kernel(s0, {.name = "k", .fixed_seconds = 1.0e-6},
+                      [&] { order.push_back(0); });
+      p.launch_host_func(s0, [&] { order.push_back(1); }, 2.5e-6);
+      p.launch_host_func(s1, [] {}, 1.5e-6);
+    });
+    ASSERT_GE(order.size(), 2u);
+    EXPECT_EQ(order[0], 0);
+    EXPECT_EQ(order[1], 1);
+  }
+  EXPECT_GT(t[0], 0.0);
+  EXPECT_DOUBLE_EQ(t[0], t[1]);
+}
+
+TEST(GraphParity, FailedPeerEndpointRefusesGraphLikeStreamCopy) {
+  constexpr std::size_t n = 256;
+  const std::size_t bytes = n * sizeof(double);
+  platform p(2, parity_desc());
+  std::vector<double> src(n, 3.0), dst(n, 0.0), out(n, 0.0);
+  graph g(p);
+  g.add_memcpy_peer_node({}, dst.data(), 1, src.data(), 0, bytes);
+  graph_exec exec(g);
+  p.fail_device(1);
+
+  // The whole launch is refused: one of its peer copies lands on the
+  // failed device, exactly as a stream peer copy toward it is.
+  stream s0(p, 0);
+  exec.launch(s0);
+  EXPECT_EQ(s0.status(), sim_status::error_device_lost);
+  stream s0b(p, 0);
+  p.memcpy_peer_async(dst.data(), 1, src.data(), 0, bytes, s0b);
+  EXPECT_EQ(s0b.status(), sim_status::error_device_lost);
+  p.synchronize();
+  EXPECT_EQ(exec.launches(), 0u);
+  EXPECT_EQ(dst[0], 0.0);
+
+  // The evacuation grace still holds: a device_to_host copy off the failed
+  // device runs.
+  stream s1(p, 1);
+  p.memcpy_async(out.data(), src.data(), bytes, memcpy_kind::device_to_host,
+                 s1);
+  EXPECT_EQ(s1.status(), sim_status::success);
+  s1.synchronize();
+  EXPECT_EQ(out, src);
+}
+
 }  // namespace
