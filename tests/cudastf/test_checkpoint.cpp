@@ -506,4 +506,38 @@ TEST(PinAccounting, FailedHostAcquireUnpins) {
   EXPECT_DOUBLE_EQ(b[0], 2.0);
 }
 
+
+// --- context lifetime ---
+
+// The epoch log keeps a replay closure per task, and each closure holds a
+// copy of its builder, which shares the context state. finalize() must drop
+// them once nothing can restart any more, or the context outlives its last
+// handle. The sentinel is captured by every task body.
+long sentinel_uses_after_finalize(bool with_deadline) {
+  auto sentinel = std::make_shared<int>(0);
+  cudasim::scoped_platform sp(1, tdesc());
+  {
+    context ctx(sp.get());
+    ctx.enable_checkpointing({.every_n_tasks = 4});
+    if (with_deadline) {
+      ctx.set_default_deadline(1.0);
+    }
+    std::vector<double> y(16, 0.0);
+    auto ly = ctx.logical_data(y.data(), y.size(), "y");
+    for (int t = 0; t < 8; ++t) {
+      ctx.task(ly.rw())->*[sentinel](cudasim::stream&, slice<double>) {};
+    }
+    EXPECT_TRUE(ctx.finalize().ok());
+  }
+  return sentinel.use_count();
+}
+
+TEST(CheckpointLifetime, FinalizeReleasesTheContext) {
+  EXPECT_EQ(sentinel_uses_after_finalize(false), 1);
+}
+
+TEST(CheckpointLifetime, FinalizeReleasesTheContextWithDeadlineArmed) {
+  EXPECT_EQ(sentinel_uses_after_finalize(true), 1);
+}
+
 }  // namespace
