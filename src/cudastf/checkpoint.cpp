@@ -348,9 +348,15 @@ void checkpoint_manager::restore_entry(entry& e, const data_impl_ptr& dp) {
   // have thrown on an uninitialized read already).
 }
 
+void checkpoint_manager::retire() {
+  log_.clear();
+  log_touched_.clear();
+  retired_ = true;
+}
+
 bool checkpoint_manager::try_restart(
     const std::vector<data_impl_ptr>& rollback) {
-  if (replaying_ || restarts_ >= opts_.max_restarts) {
+  if (replaying_ || retired_ || restarts_ >= opts_.max_restarts) {
     return false;
   }
   ++restarts_;

@@ -256,6 +256,14 @@ error_report context::finalize() {
   } else {
     st_->backend->wait_idle();
   }
+  // Nothing can restart or resubmit after the final drain: drop the
+  // requeue closures, which would otherwise keep this context alive.
+  if (st_->ckpt != nullptr) {
+    st_->ckpt->retire();
+  }
+  if (st_->dl != nullptr) {
+    st_->dl->retire();
+  }
   st_->sweep_registry();
   // CUDASTF_DOT_FILE arming (DESIGN.md §13): write the observed task graph
   // now that every submission has reached its terminal pipeline stage.

@@ -100,6 +100,12 @@ class checkpoint_manager {
   /// those entries are marked tainted and restore refuses them.
   void note_cancellation();
 
+  /// Called by finalize() after its final drain: drops the epoch log, whose
+  /// replay closures hold builder copies and with them the context state,
+  /// and refuses any later restart, which the dropped log could no longer
+  /// replay.
+  void retire();
+
   bool replaying() const { return replaying_; }
   int restarts() const { return restarts_; }
   /// Deadline-retry suppression (DESIGN.md §12): while set, record() is a
@@ -160,6 +166,7 @@ class checkpoint_manager {
   std::uint64_t epoch_ = 0;
   int restarts_ = 0;
   bool replaying_ = false;
+  bool retired_ = false;     ///< set by retire(): no restart any more
   bool suppressed_ = false;  ///< deadline-retry suppression (set_suppressed)
 };
 

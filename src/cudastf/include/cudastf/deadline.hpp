@@ -139,6 +139,11 @@ class deadline_monitor {
 
   std::size_t tracked() const { return entries_.size(); }
 
+  /// Called by finalize() after its final drain: drops the tracked entries,
+  /// whose resubmit closures hold builder copies and with them the context
+  /// state.
+  void retire() { entries_.clear(); }
+
   /// Set when escalation restarted the epoch (rung 3). finalize() checks
   /// it after draining: a restart replays the epoch's tasks on the
   /// devices, so write-backs enqueued before it carried pre-restart bytes
