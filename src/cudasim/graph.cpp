@@ -1,7 +1,6 @@
 #include "cudasim/graph.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "cudasim/stream.hpp"
@@ -13,125 +12,87 @@ constexpr double instantiate_cost_per_node = 5.0e-6;  // seconds of host time
 constexpr double update_cost_per_node = 0.5e-6;       // ~10x cheaper (paper §III-B)
 }  // namespace
 
-graph_node graph::push(node n) {
-  for (std::uint32_t d : n.deps) {
-    if (d >= nodes_.size()) {
+graph_node graph::add(const std::vector<graph_node>& deps, sim_op& op,
+                      std::function<void()> body) {
+  if (op.kind == op_kind::mem_alloc) {
+    op.dst = plat_->pool_reserve(op.device, op.bytes);
+    if (op.dst == nullptr) {
+      return graph_node{};  // pool exhausted
+    }
+    owned_allocs_.emplace_back(op.device, op.dst);
+  } else if (op.kind == op_kind::mem_free &&
+             std::none_of(owned_allocs_.begin(), owned_allocs_.end(),
+                          [&](const auto& a) { return a.second == op.dst; })) {
+    throw std::logic_error(
+        "cudasim: graph mem-free node must target a graph-allocated buffer");
+  } else if (op.kind == op_kind::memcpy && op.peer == op.device) {
+    op.peer = -1;  // a same-device peer copy is a plain device_to_device one
+  }
+  node n{op, {}, op.k != nullptr ? *op.k : kernel_desc{}, std::move(body)};
+  n.op.k = nullptr;
+  n.op.flip = false;  // a captured flip is a host node of its own
+  n.deps.reserve(deps.size());
+  for (graph_node d : deps) {
+    if (!d.valid()) {
+      throw std::invalid_argument("cudasim: invalid graph node handle");
+    }
+    if (d.index >= nodes_.size()) {
       throw std::out_of_range("cudasim: graph dependency on unknown node");
     }
+    n.deps.push_back(d.index);
   }
   nodes_.push_back(std::move(n));
   return graph_node{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 
-namespace {
-std::vector<std::uint32_t> to_indices(const std::vector<graph_node>& deps) {
-  std::vector<std::uint32_t> out;
-  out.reserve(deps.size());
-  for (graph_node d : deps) {
-    if (!d.valid()) {
-      throw std::invalid_argument("cudasim: invalid graph node handle");
-    }
-    out.push_back(d.index);
-  }
-  return out;
-}
-}  // namespace
-
 graph_node graph::add_empty_node(const std::vector<graph_node>& deps) {
-  node n;
-  n.kind = graph_node_kind::empty;
-  n.deps = to_indices(deps);
-  return push(std::move(n));
+  sim_op op;
+  return add(deps, op);
 }
 
-graph_node graph::add_kernel_node(const std::vector<graph_node>& deps, int device,
-                                  kernel_desc k, std::function<void()> body) {
-  node n;
-  n.kind = graph_node_kind::kernel;
-  n.deps = to_indices(deps);
-  n.device = device;
-  n.kdesc = std::move(k);
-  n.body = std::move(body);
-  return push(std::move(n));
+graph_node graph::add_kernel_node(const std::vector<graph_node>& deps,
+                                  int device, const kernel_desc& k,
+                                  std::function<void()> body) {
+  sim_op op{.kind = op_kind::kernel, .device = device, .k = &k};
+  return add(deps, op, std::move(body));
 }
 
 graph_node graph::add_memcpy_node(const std::vector<graph_node>& deps, void* dst,
                                   const void* src, std::size_t bytes,
                                   memcpy_kind kind, int device) {
-  node n;
-  n.kind = graph_node_kind::memcpy;
-  n.deps = to_indices(deps);
-  n.device = device;
-  n.dst = dst;
-  n.src = src;
-  n.bytes = bytes;
-  n.ckind = kind;
-  return push(std::move(n));
+  sim_op op{.kind = op_kind::memcpy, .device = device, .dst = dst, .src = src,
+            .bytes = bytes, .ckind = kind};
+  return add(deps, op);
 }
 
 graph_node graph::add_memcpy_peer_node(const std::vector<graph_node>& deps,
                                        void* dst, int dst_device,
                                        const void* src, int src_device,
                                        std::size_t bytes) {
-  if (dst_device == src_device) {
-    return add_memcpy_node(deps, dst, src, bytes,
-                           memcpy_kind::device_to_device, src_device);
-  }
-  node n;
-  n.kind = graph_node_kind::memcpy;
-  n.deps = to_indices(deps);
-  n.device = src_device;
-  n.peer = dst_device;
-  n.dst = dst;
-  n.src = src;
-  n.bytes = bytes;
-  n.ckind = memcpy_kind::device_to_device;
-  return push(std::move(n));
+  sim_op op{.kind = op_kind::memcpy, .device = src_device, .peer = dst_device,
+            .dst = dst, .src = src, .bytes = bytes};
+  return add(deps, op);
 }
 
 graph_node graph::add_mem_alloc_node(const std::vector<graph_node>& deps,
                                      int device, std::size_t bytes,
                                      void** out_ptr) {
-  void* p = plat_->pool_reserve(device, bytes);
-  *out_ptr = p;
-  if (p == nullptr) {
-    return graph_node{};  // pool exhausted
-  }
-  owned_allocs_.emplace_back(device, p);
-  node n;
-  n.kind = graph_node_kind::mem_alloc;
-  n.deps = to_indices(deps);
-  n.device = device;
-  n.dst = p;
-  n.bytes = bytes;
-  return push(std::move(n));
+  sim_op op{.kind = op_kind::mem_alloc, .device = device, .bytes = bytes};
+  const graph_node n = add(deps, op);
+  *out_ptr = op.dst;
+  return n;
 }
 
 graph_node graph::add_mem_free_node(const std::vector<graph_node>& deps,
                                     int device, void* ptr) {
-  const bool owned =
-      std::any_of(owned_allocs_.begin(), owned_allocs_.end(),
-                  [&](const auto& a) { return a.second == ptr; });
-  if (!owned) {
-    throw std::logic_error(
-        "cudasim: graph mem-free node must target a graph-allocated buffer");
-  }
-  node n;
-  n.kind = graph_node_kind::mem_free;
-  n.deps = to_indices(deps);
-  n.device = device;
-  n.dst = ptr;
-  return push(std::move(n));
+  sim_op op{.kind = op_kind::mem_free, .device = device, .dst = ptr};
+  return add(deps, op);
 }
 
 graph_node graph::add_host_node(const std::vector<graph_node>& deps,
                                 std::function<void()> fn, double cost) {
-  node n;
-  n.kind = graph_node_kind::host;
-  n.deps = to_indices(deps);
-  n.body = std::move(fn);
-  n.host_cost = cost;
-  return push(std::move(n));
+  sim_op op{.kind = op_kind::host, .cost = cost};
+  return add(deps, op, std::move(fn));
 }
 
 void graph::release_resources() {
@@ -152,8 +113,8 @@ bool graph_exec::update(const graph& g) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const graph::node& a = nodes_[i];
     const graph::node& b = g.nodes_[i];
-    if (a.kind != b.kind || a.device != b.device || a.peer != b.peer ||
-        a.deps != b.deps) {
+    if (a.op.kind != b.op.kind || a.op.device != b.op.device ||
+        a.op.peer != b.op.peer || a.deps != b.deps) {
       return false;
     }
   }
@@ -167,135 +128,42 @@ void graph_exec::launch(stream& s) {
     throw std::logic_error("cudasim: launching an exec graph during capture");
   }
   std::lock_guard lock(plat_->mutex());
-  if (plat_->faults_armed()) {
-    // One whole-graph launch counts as a single kernel-category submission
-    // for the fault injector; a refused launch enqueues none of the nodes.
-    const sim_status injected =
-        plat_->poll_faults_locked(op_category::kernel, s.device());
-    if (s.status() != sim_status::success) {
-      return;
-    }
-    bool dead = plat_->device(s.device()).failed();
-    for (const graph::node& n : nodes_) {
-      dead = dead || (n.device >= 0 && plat_->device(n.device).failed()) ||
-             (n.peer >= 0 && plat_->device(n.peer).failed());
-    }
-    if (dead) {
-      s.set_status(sim_status::error_device_lost);
-      return;
-    }
-    if (injected != sim_status::success) {
-      s.set_status(injected);
-      return;
-    }
-  } else if (s.status() != sim_status::success) {
+  // One whole-graph launch is a single kernel-category submission for the
+  // fault injector, refused whole when any node touches a failed device: a
+  // refused launch enqueues none of the nodes.
+  const auto failed = [&](int d) { return d >= 0 && plat_->device(d).failed(); };
+  if (!plat_->gate_locked(s, op_category::kernel, [&] {
+        return failed(s.device()) ||
+               std::any_of(nodes_.begin(), nodes_.end(), [&](const auto& n) {
+                 return failed(n.op.device) || failed(n.op.peer);
+               });
+      })) {
     return;
   }
-  timeline& tl = plat_->tl();
-  std::vector<op_node*> created(nodes_.size(), nullptr);
+  std::vector<op_node*> lowered(nodes_.size(), nullptr);
   std::vector<bool> has_succ(nodes_.size(), false);
-
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const graph::node& n = nodes_[i];
-    const int dev = n.device >= 0 ? n.device : s.device();
-    op_node* op = nullptr;
-    bool wired = false;  // set by multi-engine nodes that wire deps themselves
-    switch (n.kind) {
-      case graph_node_kind::empty:
-        op = tl.make_node("graph.empty", dev, nullptr, 0.0);
-        break;
-      case graph_node_kind::kernel: {
-        const device_desc& d = plat_->device(dev).desc();
-        const double dur = d.graph_node_latency + kernel_cost_seconds(d, n.kdesc);
-        op = tl.make_node(n.kdesc.name, dev, &plat_->device(dev).compute(), dur,
-                          n.body);
-        // A stall armed by the launch poll (or left pending from capture
-        // time) lands on the first kernel node lowered.
-        stall_request sr;
-        if (plat_->take_pending_stall(&sr)) {
-          plat_->apply_stall_locked(op, sr);
-        }
-        break;
-      }
-      case graph_node_kind::memcpy: {
-        task_fn body;
-        if (plat_->copy_payloads()) {
-          void* dst = n.dst;
-          const void* src = n.src;
-          const std::size_t bytes = n.bytes;
-          body = [dst, src, bytes] {
-            if (dst != nullptr && src != nullptr && bytes > 0) {
-              std::memmove(dst, src, bytes);
-            }
-          };
-        }
-        if (n.peer >= 0) {
-          // Dual-engine peer copy: copy_out on src device and copy_in on the
-          // peer run in parallel; the recorded node is their join (mirrors
-          // platform::memcpy_peer_async).
-          const device_desc& sd = plat_->device(dev).desc();
-          const double dur = sd.copy_latency +
-                             static_cast<double>(n.bytes) / sd.p2p_bw;
-          op_node* out = tl.make_node("graph.memcpyPeerSrc", dev,
-                                      &plat_->device(dev).copy_out(), dur,
-                                      std::move(body));
-          op_node* in = tl.make_node("graph.memcpyPeerDst", n.peer,
-                                     &plat_->device(n.peer).copy_in(), dur);
-          if (n.deps.empty()) {
-            timeline::add_dep(s.last(), out);
-            timeline::add_dep(s.last(), in);
-          } else {
-            for (std::uint32_t d : n.deps) {
-              timeline::add_dep(created[d], out);
-              timeline::add_dep(created[d], in);
-              has_succ[d] = true;
-            }
-          }
-          tl.submit(out);
-          tl.submit(in);
-          op = tl.make_node("graph.memcpyPeer", dev, nullptr, 0.0);
-          op->real_work = true;
-          timeline::add_dep(out, op);
-          timeline::add_dep(in, op);
-          wired = true;
-          break;
-        }
-        const platform::copy_plan plan = plat_->plan_copy(dev, n.bytes, n.ckind);
-        op = tl.make_node("graph.memcpy", dev, plan.eng, plan.seconds,
-                          std::move(body));
-        break;
-      }
-      case graph_node_kind::mem_alloc:
-      case graph_node_kind::mem_free:
-        // Buffers are owned by the template; alloc/free nodes only cost time.
-        op = tl.make_node("graph.mem", dev, &plat_->device(dev).compute(),
-                          plat_->device(dev).desc().alloc_latency);
-        break;
-      case graph_node_kind::host:
-        op = tl.make_node("graph.host", -1, &plat_->host_engine(), n.host_cost,
-                          n.body);
-        break;
+    sim_op op = n.op;
+    op.k = &n.kdesc;
+    if (op.device < 0) {
+      op.device = s.device();
     }
-    if (!wired) {
-      if (n.deps.empty()) {
-        timeline::add_dep(s.last(), op);
-      } else {
-        for (std::uint32_t d : n.deps) {
-          timeline::add_dep(created[d], op);
-          has_succ[d] = true;
-        }
-      }
+    lowered[i] = plat_->lower(op, n.body,
+                              {.tail = s.last(), .graph = true,
+                               .deps = &n.deps, .lowered = lowered.data()});
+    for (std::uint32_t d : n.deps) {
+      has_succ[d] = true;
     }
-    created[i] = op;
-    tl.submit(op);
   }
 
   // Join all sink nodes so stream order continues after the whole graph.
+  timeline& tl = plat_->tl();
   op_node* join = tl.make_node("graph.join", s.device(), nullptr, 0.0);
   timeline::add_dep(s.last(), join);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (!has_succ[i]) {
-      timeline::add_dep(created[i], join);
+      timeline::add_dep(lowered[i], join);
     }
   }
   s.set_last(join);

@@ -13,24 +13,6 @@
 
 namespace cudasim {
 
-class stream;
-
-/// Kinds of graph template nodes.
-enum class graph_node_kind : std::uint8_t {
-  empty,
-  kernel,
-  memcpy,
-  mem_alloc,
-  mem_free,
-  host,
-};
-
-/// Opaque handle to a node inside a graph template.
-struct graph_node {
-  std::uint32_t index = UINT32_MAX;
-  bool valid() const { return index != UINT32_MAX; }
-};
-
 /// A graph template (cudaGraph_t). Cheap to build; cannot execute directly.
 class graph {
  public:
@@ -38,15 +20,15 @@ class graph {
 
   graph_node add_empty_node(const std::vector<graph_node>& deps);
   graph_node add_kernel_node(const std::vector<graph_node>& deps, int device,
-                             kernel_desc k, std::function<void()> body);
+                             const kernel_desc& k, std::function<void()> body);
   graph_node add_memcpy_node(const std::vector<graph_node>& deps, void* dst,
                              const void* src, std::size_t bytes,
                              memcpy_kind kind, int device);
   /// Cross-device peer copy node (cudaGraphAddMemcpyNode with distinct
-  /// endpoints): occupies copy_out on `src_device` and copy_in on
-  /// `dst_device` in parallel when launched, mirroring
-  /// platform::memcpy_peer_async. Same-device calls degrade to a plain
-  /// device_to_device memcpy node.
+  /// endpoints): lowered exactly like platform::memcpy_peer_async, so it
+  /// occupies copy_out on `src_device` and copy_in on `dst_device` in
+  /// parallel. Same-device calls degrade to a plain device_to_device
+  /// memcpy node.
   graph_node add_memcpy_peer_node(const std::vector<graph_node>& deps,
                                   void* dst, int dst_device, const void* src,
                                   int src_device, std::size_t bytes);
@@ -60,6 +42,12 @@ class graph {
                                void* ptr);
   graph_node add_host_node(const std::vector<graph_node>& deps,
                            std::function<void()> fn, double cost = 0.0);
+  /// The one way a node enters the template: every add_*_node above and
+  /// the platform's stream capture call it. Reserves a mem_alloc node's
+  /// buffer (written back to `op.dst`; an invalid handle when the pool is
+  /// exhausted) and checks that a mem_free node targets one.
+  graph_node add(const std::vector<graph_node>& deps, sim_op& op,
+                 std::function<void()> body = {});
 
   std::size_t node_count() const { return nodes_.size(); }
   platform& owner() const { return *plat_; }
@@ -71,20 +59,11 @@ class graph {
  private:
   friend class graph_exec;
   struct node {
-    graph_node_kind kind = graph_node_kind::empty;
+    sim_op op;  // op.k is null: the kernel lives in kdesc
     std::vector<std::uint32_t> deps;
-    int device = -1;
     kernel_desc kdesc;
-    std::function<void()> body;   // kernel or host payload
-    void* dst = nullptr;          // memcpy / free target
-    const void* src = nullptr;    // memcpy source
-    std::size_t bytes = 0;        // memcpy / alloc size
-    memcpy_kind ckind = memcpy_kind::device_to_device;
-    int peer = -1;                // dst device of a peer memcpy, else -1
-    double host_cost = 0.0;
+    std::function<void()> body;  // kernel or host payload
   };
-
-  graph_node push(node n);
 
   platform* plat_;
   std::vector<node> nodes_;
@@ -118,8 +97,10 @@ class graph_exec {
   /// Roughly an order of magnitude cheaper than instantiation.
   bool update(const graph& g);
 
-  /// Enqueues one execution of the graph behind prior work on `s`.
-  /// Per-node launch overhead uses the device's graph_node_latency.
+  /// Enqueues one execution of the graph behind prior work on `s`: one
+  /// fault gate for the whole launch, then every node lowered by
+  /// platform::lower, as its stream entry point would, except that the
+  /// per-node launch overhead is the device's graph_node_latency.
   void launch(stream& s);
 
   std::size_t node_count() const { return nodes_.size(); }

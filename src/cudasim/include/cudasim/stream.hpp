@@ -4,12 +4,12 @@
 // creating, moving and destroying a stream or event takes no lock. Both hold
 // their DES node as a node_ref, which reads as completed once the node is
 // recycled, so no sweep has to find them. event::query() is the one
-// lock-free read (it backs event_list pruning on the multi-threaded
-// submission fast path): it never returns a false `true`, and once true it
-// stays true. An event must be recorded before other threads query it.
+// lock-free read (it backs event_list pruning, which may run outside the
+// platform lock): it never returns a false `true`, and once true it stays
+// true. An event must be recorded before other threads query it.
 // Concurrent submissions to the *same* stream must be serialized externally
-// (the STF stream backend holds a per-stream mutex); different streams need
-// no coordination.
+// (the STF layer submits under its context lock, DESIGN.md §11); different
+// streams need no coordination.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,12 @@ namespace cudasim {
 class platform;
 class graph;
 class event;
+
+/// Opaque handle to a node inside a graph template.
+struct graph_node {
+  std::uint32_t index = UINT32_MAX;
+  bool valid() const { return index != UINT32_MAX; }
+};
 
 /// An in-order queue of asynchronous operations on one device
 /// (cudaStream_t). Streams are movable handles; destroying a stream does
@@ -72,6 +78,11 @@ class stream {
   graph* end_capture();
   bool capturing() const { return capture_ != nullptr; }
   graph* capture_graph() const { return capture_; }
+  /// The node the next captured op depends on: the last one this stream
+  /// recorded, or whatever the STF graph backend set as the task's join
+  /// (invalid: none).
+  graph_node capture_tail() const { return capture_tail_; }
+  void set_capture_tail(graph_node n) { capture_tail_ = n; }
 
   // Internal: dependency chaining used by the platform, platform lock held.
   // last() is the tail node, or null once it has been recycled (a recycled
@@ -82,8 +93,6 @@ class stream {
   void set_last(op_node* n) { last_ = node_ref(n); }
   /// Internal: monotone per-stream counter stamped onto recorded events.
   std::uint64_t next_record_seq() { return ++record_seq_; }
-  // Internal: capture bookkeeping (nodes this stream's capture tail).
-  void* capture_tail_ = nullptr;
 
  private:
   platform* plat_;
@@ -92,6 +101,7 @@ class stream {
   std::uint64_t record_seq_ = 0;
   node_ref last_;
   graph* capture_ = nullptr;
+  graph_node capture_tail_;
   // Written only by platform submission calls made while the submitting
   // thread owns the stream (same thread that reads it back), so it needs no
   // atomicity of its own.

@@ -26,22 +26,6 @@ std::uint64_t fnv_str(std::uint64_t h, std::string_view s) {
   return h;
 }
 
-// The capture tail is stored in the stream as (index + 1), 0 meaning none —
-// the same encoding the platform capture path uses.
-cudasim::graph_node get_tail(cudasim::stream& s) {
-  const auto v = reinterpret_cast<std::uintptr_t>(s.capture_tail_);
-  if (v == 0) {
-    return {};
-  }
-  return cudasim::graph_node{static_cast<std::uint32_t>(v - 1)};
-}
-
-void set_tail(cudasim::stream& s, cudasim::graph_node n) {
-  s.capture_tail_ = n.valid()
-      ? reinterpret_cast<void*>(static_cast<std::uintptr_t>(n.index) + 1)
-      : nullptr;
-}
-
 }  // namespace
 
 graph_backend::graph_backend(cudasim::platform& p, const retry_policy& retry)
@@ -95,9 +79,9 @@ event graph_backend::run(int device, channel ch, const event_list& deps,
   } else if (dep_nodes.size() > 1) {
     tail = cur_->add_empty_node(dep_nodes);
   }
-  set_tail(s, tail);
+  s.set_capture_tail(tail);
   payload(s);
-  const cudasim::graph_node out = get_tail(s);
+  const cudasim::graph_node out = s.capture_tail();
 
   // Fault harvesting: a refused capture-time submission leaves a sticky
   // status on the capture stream and records nothing. If the capture tail
