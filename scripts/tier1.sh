@@ -10,9 +10,12 @@
 #
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
 # the fault-injection, checkpoint, eviction and transfer tests under it —
-# the error and recovery paths are where lifetime bugs would hide — plus
-# the cudasim stream suite with LeakSanitizer on, which holds a destroyed
-# platform to releasing every allocation it still owns.
+# the error and recovery paths are where lifetime bugs would hide. The
+# suites that leak nothing run with LeakSanitizer on: the cudasim stream
+# and graph suites (a destroyed platform releases every allocation it
+# still owns; graph launches move payload bodies into the DES), the graph
+# backend suite, and the checkpoint, deadline, integrity and recovery
+# suites (a finalized context is released).
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
 # the parallel-submission, fast-path, fault-injection, concurrency-API and
@@ -244,26 +247,31 @@ sanitizer_tier() {
 
 if [[ "$sanitize" == 1 ]]; then
   # Error and recovery paths are where lifetime bugs would hide:
-  #  - test_deadline: cancellation must not leak or double-release pinned
-  #    instances (DESIGN.md §12); its eviction-after-cancel test is the
-  #    regression gate.
   #  - test_submit_pipeline: observer records cross the failure and
   #    cancellation paths (DESIGN.md §13); emission after rollback is where
   #    a dangling dep record would hide.
-  #  - test_recovery_ladder: every rung of the recovery ladder, each failure
-  #    source with and without checkpointing (DESIGN.md §5).
   #  - test_transfer: chunked, chained and coalesced copies write through
   #    raw segment offsets into instance buffers (DESIGN.md §6).
   sanitizer_tier asan "$repo/build-asan" -DREPRO_SANITIZE=ON \
     "ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1" \
-    test_fault_injection test_eviction test_checkpoint test_mem_engine \
-    test_integrity test_deadline test_submit_pipeline test_recovery_ladder \
+    test_fault_injection test_eviction test_mem_engine test_submit_pipeline \
     test_transfer
-  #  - test_cudasim_stream, leaks on: a platform destroyed with frees still
-  #    pending, or buffers never freed, must release their host backing.
+  # Leaks on:
+  #  - test_cudasim_stream: a platform destroyed with frees still pending,
+  #    or buffers never freed, must release their host backing.
+  #  - test_checkpoint, test_deadline, test_integrity, test_recovery_ladder:
+  #    finalize() must drop the requeue closures of the checkpoint log and
+  #    the deadline monitor, which hold the context state. test_deadline
+  #    also holds cancellation to never leaking or double-releasing pinned
+  #    instances (DESIGN.md §12), and test_recovery_ladder covers every rung
+  #    of the ladder, each failure source with and without checkpointing
+  #    (DESIGN.md §5).
+  #  - test_cudasim_graph, test_graph_ctx: one lowering moves payload bodies
+  #    between graph templates, exec graphs and the DES (DESIGN.md §1).
   sanitizer_tier asan-leaks "$repo/build-asan" -DREPRO_SANITIZE=ON \
     "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1" \
-    test_cudasim_stream
+    test_cudasim_stream test_checkpoint test_deadline test_integrity \
+    test_recovery_ladder test_cudasim_graph test_graph_ctx
 fi
 
 if [[ "$tsan" == 1 ]]; then
